@@ -126,14 +126,39 @@ func run(in, out, baseline, blDir string, maxRegress float64, label string) erro
 // "BenchmarkFig11Speedup/SS/LATTE-CC-8  1  123456 ns/op  1.234 speedup".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
-// procSuffix is the "-<GOMAXPROCS>" tail Go appends to benchmark names;
-// stripped so baselines compare across machines with different core counts.
+// procSuffix matches a "-<N>" name tail, the form of the GOMAXPROCS
+// suffix Go appends to benchmark names when GOMAXPROCS > 1.
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
+// benchResult is one parsed result line: the name as printed and its
+// value/unit fields.
+type benchResult struct {
+	name   string
+	fields []string
+}
+
+// runProcSuffix returns the GOMAXPROCS suffix of one run's benchmark
+// names: the "-N" tail, when every name carries the same one. Otherwise
+// the tails are part of sub-benchmark names such as "on-8" (Go prints no
+// suffix at GOMAXPROCS=1) and nothing is stripped. Only a run in which
+// every name ends in the same "-N" of its own would be misread.
+func runProcSuffix(lines []benchResult) string {
+	suffix := ""
+	for i, l := range lines {
+		tail := procSuffix.FindString(l.name)
+		if tail == "" || (i > 0 && tail != suffix) {
+			return ""
+		}
+		suffix = tail
+	}
+	return suffix
+}
+
 // parseBench folds bench output into per-benchmark records, keeping the
-// minimum ns/op seen across repeated -count runs.
+// minimum ns/op seen across repeated -count runs. Names are keyed without
+// the run's GOMAXPROCS suffix, so baselines compare across core counts.
 func parseBench(r io.Reader) (*File, error) {
-	out := &File{Benchmarks: map[string]Bench{}}
+	var lines []benchResult
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -141,8 +166,17 @@ func parseBench(r io.Reader) (*File, error) {
 		if m == nil {
 			continue
 		}
-		name := strings.TrimPrefix(procSuffix.ReplaceAllString(m[1], ""), "Benchmark")
-		fields := strings.Fields(m[2])
+		lines = append(lines, benchResult{name: m[1], fields: strings.Fields(m[2])})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	suffix := runProcSuffix(lines)
+
+	out := &File{Benchmarks: map[string]Bench{}}
+	for _, l := range lines {
+		name := strings.TrimPrefix(strings.TrimSuffix(l.name, suffix), "Benchmark")
+		fields := l.fields
 		var nsPerOp float64
 		var bytesPerOp, allocsPerOp *float64
 		metrics := map[string]float64{}
@@ -183,7 +217,7 @@ func parseBench(r io.Reader) (*File, error) {
 			out.Benchmarks[name] = Bench{NsPerOp: nsPerOp, BytesPerOp: bytesPerOp, AllocsPerOp: allocsPerOp, Metrics: metrics}
 		}
 	}
-	return out, sc.Err()
+	return out, nil
 }
 
 // prNumber extracts <n> from BENCH_PR<n>.json names.

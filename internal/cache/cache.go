@@ -186,6 +186,11 @@ type Cache struct {
 	// decompBuf holds the line addresses of recently decompressed lines
 	// (FIFO); see Config.DecompBufferEntries.
 	decompBuf []uint64
+
+	// hcTrain is the high-capacity codec's value-frequency table, or nil
+	// when the codec has none or the controller never inserts HighCap
+	// lines (modes.HighCapUser), in which case nothing trains it.
+	hcTrain codeBookTrainer
 }
 
 // New builds a cache; it panics on inconsistent geometry (configs come
@@ -202,6 +207,9 @@ func New(cfg Config, ctrl modes.Controller) *Cache {
 		panic("cache: zero sets")
 	}
 	c := &Cache{cfg: cfg, ctrl: ctrl, numSets: numSets, sets: make([]set, numSets)}
+	if u, ok := ctrl.(modes.HighCapUser); !ok || u.UsesHighCap() {
+		c.hcTrain = c.highCapTrainer()
+	}
 	subPerSet := cfg.Ways * cfg.LineSize / SubBlockSize
 	for i := range c.sets {
 		c.sets[i] = set{
@@ -360,8 +368,8 @@ func (c *Cache) Fill(addr uint64, data []byte, now uint64) modes.Mode {
 	si := c.setIndex(lineAddr)
 	s := &c.sets[si]
 
-	if sc := c.highCapTrainer(); sc != nil {
-		sc.Train(data)
+	if c.hcTrain != nil {
+		c.hcTrain.Train(data)
 	}
 
 	mode := c.ctrl.InsertMode(si)
@@ -583,12 +591,16 @@ func (c *Cache) applyDirective(dir modes.Directive) {
 	}
 }
 
-// highCapTrainer returns the high-capacity codec's training interface if
-// it has one (SC does; BPC is stateless).
-func (c *Cache) highCapTrainer() interface {
+// codeBookTrainer is the training surface of a high-capacity codec with a
+// code book.
+type codeBookTrainer interface {
 	Train([]byte)
 	Rebuild() bool
-} {
+}
+
+// highCapTrainer returns the high-capacity codec's training interface if
+// it has one (SC does; BPC is stateless).
+func (c *Cache) highCapTrainer() codeBookTrainer {
 	if sc, ok := c.cfg.Codecs[modes.HighCap].(*compress.SC); ok {
 		return sc
 	}
@@ -665,10 +677,14 @@ func (c *Cache) evictLRUExcept(s *set, keep int) bool {
 // tracks the frequency of *used* values (Section IV-C2), not just newly
 // inserted ones — an all-hit period would otherwise starve the table.
 func (c *Cache) TrainHighCap(data []byte) {
-	if sc := c.highCapTrainer(); sc != nil {
-		sc.Train(data)
+	if c.hcTrain != nil {
+		c.hcTrain.Train(data)
 	}
 }
+
+// TrainsHighCap reports whether fills and TrainHighCap train the
+// high-capacity code book; callers skip preparing sample data otherwise.
+func (c *Cache) TrainsHighCap() bool { return c.hcTrain != nil }
 
 // ValidLines returns the number of valid lines currently cached — the
 // effective-capacity probe of Figure 16 (each valid line represents

@@ -483,3 +483,34 @@ func TestDecompressedLineBufferDisabledByDefault(t *testing.T) {
 		t.Fatal("buffer must be off by default (the paper's design)")
 	}
 }
+
+// plainController is a Controller without the optional HighCapUser
+// method: the cache must assume it may insert HighCap lines.
+type plainController struct{ modes.Controller }
+
+func TestHighCapTrainingFollowsController(t *testing.T) {
+	cases := []struct {
+		name  string
+		ctrl  modes.Controller
+		train bool
+	}{
+		{"Uncompressed", policy.NewStatic(modes.None, "base", 256, 10), false},
+		{"Static-BDI", policy.NewStatic(modes.LowLat, "bdi", 256, 10), false},
+		{"Static-SC", policy.NewStatic(modes.HighCap, "sc", 256, 10), true},
+		{"no HighCapUser", plainController{policy.NewStatic(modes.None, "base", 256, 10)}, true},
+	}
+	for _, tc := range cases {
+		cfg := testConfig()
+		sc := cfg.Codecs[modes.HighCap].(*compress.SC)
+		c := New(cfg, tc.ctrl)
+		if c.TrainsHighCap() != tc.train {
+			t.Fatalf("%s: TrainsHighCap = %v, want %v", tc.name, c.TrainsHighCap(), tc.train)
+		}
+		c.Fill(0, compressibleLine(), 1)
+		c.TrainHighCap(compressibleLine())
+		// Rebuild reports a new code book only if something was trained.
+		if got := sc.Rebuild(); got != tc.train {
+			t.Fatalf("%s: code book rebuilt = %v after a fill and a hit sample, want %v", tc.name, got, tc.train)
+		}
+	}
+}

@@ -102,18 +102,18 @@ func moduleRootForTest(t *testing.T) string {
 
 // TestEscapeGateRealTree is the acceptance lock: the committed baseline
 // matches a fresh -m=2 run over the annotated packages, and every
-// annotated codec/cache function in it is clean.
+// annotated codec/cache/scheduler function in it is clean.
 func TestEscapeGateRealTree(t *testing.T) {
 	root := moduleRootForTest(t)
-	pkgs, err := Load(root, []string{"./internal/cache", "./internal/compress"})
+	pkgs, err := Load(root, []string{"./internal/cache", "./internal/compress", "./internal/sim"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	funcs := HotpathFuncs(pkgs, root)
 	if len(funcs) < 8 {
-		t.Fatalf("expected the codec/cache hot paths to be annotated, found %d //lint:hotpath functions", len(funcs))
+		t.Fatalf("expected the codec/cache/scheduler hot paths to be annotated, found %d //lint:hotpath functions", len(funcs))
 	}
-	diags := runEscapeBuild(t, root, "./internal/cache", "./internal/compress")
+	diags := runEscapeBuild(t, root, "./internal/cache", "./internal/compress", "./internal/sim")
 	current := EscapeReport(funcs, diags)
 
 	baseline, err := os.ReadFile(filepath.Join("testdata", "escapes_baseline.txt"))

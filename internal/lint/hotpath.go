@@ -12,9 +12,9 @@ import (
 //
 //	//lint:hotpath
 //
-// (codec Measure/encode cores, cache access paths) run once per
-// simulated L1 access — hundreds of millions of times per sweep — and
-// must not allocate. Two layers enforce that:
+// (codec Measure/encode cores, cache access paths, the warp scheduler)
+// run once per simulated L1 access or SM cycle — hundreds of millions
+// of times per sweep — and must not allocate. Two layers enforce that:
 //
 //   - this static rule flags the constructs that always or usually
 //     allocate: make, new, slice/map composite literals, address-of

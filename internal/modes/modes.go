@@ -127,3 +127,12 @@ type Snapshotter interface {
 	// CurrentMode returns the mode follower sets are using right now.
 	CurrentMode() Mode
 }
+
+// HighCapUser is an optional Controller extension for controllers that
+// know, once built, whether they can ever insert a HighCap line. The
+// cache asks once: a controller that answers false never gets its
+// high-capacity code book trained, because no rebuild will ever use it.
+// Controllers that do not implement it are assumed to use HighCap.
+type HighCapUser interface {
+	UsesHighCap() bool
+}

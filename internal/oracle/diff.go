@@ -319,43 +319,55 @@ func diffSetViews(a, b cache.SetView) string {
 	return ""
 }
 
-// optSched replays the SM's scheduler accounting (sm.schedule) around the
-// optimized PickWarp, with every pick assumed to issue.
+// optSched drives the production scheduler state (sim.SchedState — the
+// same Select call sm.schedule makes) over a ready bitset built from the
+// candidate list, with every pick assumed to issue. Positions are
+// indices into the id-ordered candidate list, as in the SM.
 type optSched struct {
-	kind     sim.SchedulerKind
-	lastWarp int
-	readySum uint64
-	issues   uint64
-	switches uint64
+	kind  sim.SchedulerKind
+	st    sim.SchedState
+	ready []uint64
 }
 
-func (o *optSched) step(cands []sim.WarpCandidate) (int, bool) {
-	ready := 0
-	for _, c := range cands {
+func (o *optSched) step(cands []WarpCandidate) (int, bool) {
+	o.ready = o.ready[:0]
+	for i := 0; i < len(cands); i += 64 {
+		o.ready = append(o.ready, 0)
+	}
+	for i, c := range cands {
 		if c.Ready {
-			ready++
+			o.ready[i>>6] |= 1 << uint(i&63)
 		}
 	}
-	if ready > 0 {
-		o.readySum += uint64(ready - 1)
-	}
-	idx, ok := sim.PickWarp(o.kind, o.lastWarp, cands)
+	pos, ok := o.st.Select(o.kind, o.ready)
 	if !ok {
 		return -1, false
 	}
-	id := cands[idx].ID
-	if id != o.lastWarp {
-		o.switches++
-		o.lastWarp = id
-	}
-	o.issues++
-	return id, true
+	o.st.Issues++
+	return cands[pos].ID, true
 }
 
-// DiffSchedulers single-steps the optimized warp selection against the
+// checkLast verifies the position bookkeeping against the reference's
+// last issued id: a live position holds that id, and otherwise every
+// position up to it holds an older warp and every one above a younger.
+func (o *optSched) checkLast(ids []int, lastID int) bool {
+	pos, live := o.st.Last()
+	if live {
+		return pos >= 0 && pos < len(ids) && ids[pos] == lastID
+	}
+	if pos >= len(ids) || (pos >= 0 && ids[pos] >= lastID) {
+		return false
+	}
+	return pos+1 >= len(ids) || ids[pos+1] > lastID
+}
+
+// DiffSchedulers single-steps the production warp selection against the
 // reference scheduler for both policies over steps cycles of randomized
-// ready masks, warp retirement, and warp launch, comparing the issued
-// warp and every Equation 4 accumulator each cycle.
+// ready masks, warp retirement, and block launch, comparing the issued
+// warp, the last-issue position, and every Equation 4 accumulator each
+// cycle. Warp counts reach past 64 so multiword bitsets are covered, and
+// the ready density varies so RR's wrap-around and GTO's fallback to the
+// oldest warp both occur.
 func DiffSchedulers(seed int64, steps int) *Divergence {
 	for _, kind := range []sim.SchedulerKind{sim.SchedGTO, sim.SchedRR} {
 		name := "sched:GTO"
@@ -363,30 +375,39 @@ func DiffSchedulers(seed int64, steps int) *Divergence {
 			name = "sched:RR"
 		}
 		rng := rand.New(rand.NewSource(seed))
-		opt := &optSched{kind: kind, lastWarp: -1}
+		opt := &optSched{kind: kind, st: sim.NewSchedState()}
 		ref := NewRefScheduler(kind)
 
+		maxWarps := 12
+		if rng.Intn(2) == 0 {
+			maxWarps = 150
+		}
 		ids := []int{}
 		nextID := 0
 		for len(ids) < 6 {
 			ids = append(ids, nextID)
 			nextID++
 		}
-		cands := make([]sim.WarpCandidate, 0, 16)
+		cands := make([]WarpCandidate, 0, maxWarps+16)
 		for step := 0; step < steps; step++ {
-			// Retire or launch warps occasionally; ids stay sorted because
-			// new warps always take the next id (launch order).
+			// Retire warps or launch a block occasionally; ids stay
+			// sorted because new warps always take the next ids (launch
+			// order).
 			if len(ids) > 1 && rng.Intn(10) == 0 {
 				drop := rng.Intn(len(ids))
 				ids = append(ids[:drop], ids[drop+1:]...)
+				opt.st.Remove(drop)
 			}
-			if len(ids) < 12 && rng.Intn(10) == 0 {
-				ids = append(ids, nextID)
-				nextID++
+			if len(ids) < maxWarps && rng.Intn(10) == 0 {
+				for n := 1 + rng.Intn(16); n > 0 && len(ids) < maxWarps; n-- {
+					ids = append(ids, nextID)
+					nextID++
+				}
 			}
+			readyOneIn := 1 + rng.Intn(12)
 			cands = cands[:0]
 			for _, id := range ids {
-				cands = append(cands, sim.WarpCandidate{ID: id, Ready: rng.Intn(3) > 0})
+				cands = append(cands, WarpCandidate{ID: id, Ready: rng.Intn(readyOneIn) == 0})
 			}
 
 			oid, ook := opt.step(cands)
@@ -395,12 +416,16 @@ func DiffSchedulers(seed int64, steps int) *Divergence {
 				return diverge(name, seed, step, "pick: optimized (%d, %v), reference (%d, %v) with cands %+v",
 					oid, ook, rid, rok, cands)
 			}
-			if opt.lastWarp != ref.LastWarp || opt.switches != ref.Switches ||
-				opt.issues != ref.Issues || opt.readySum != ref.ReadySum {
+			if opt.st.Switches != ref.Switches || opt.st.Issues != ref.Issues || opt.st.ReadySum != ref.ReadySum {
 				return diverge(name, seed, step,
-					"accounting: optimized last=%d sw=%d iss=%d rdy=%d, reference last=%d sw=%d iss=%d rdy=%d",
-					opt.lastWarp, opt.switches, opt.issues, opt.readySum,
-					ref.LastWarp, ref.Switches, ref.Issues, ref.ReadySum)
+					"accounting: optimized sw=%d iss=%d rdy=%d, reference sw=%d iss=%d rdy=%d",
+					opt.st.Switches, opt.st.Issues, opt.st.ReadySum,
+					ref.Switches, ref.Issues, ref.ReadySum)
+			}
+			if !opt.checkLast(ids, ref.LastWarp) {
+				pos, live := opt.st.Last()
+				return diverge(name, seed, step, "last issue: optimized position %d (live %v), reference id %d, ids %v",
+					pos, live, ref.LastWarp, ids)
 			}
 		}
 	}

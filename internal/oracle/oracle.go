@@ -16,7 +16,7 @@
 //     optimized codecs in internal/compress.
 //   - RefScheduler: a single-stepped reference warp scheduler for GTO
 //     and RR that re-derives each pick from the policy's specification
-//     rather than internal/sim's single-pass scan.
+//     rather than internal/sim's bitset walk.
 //
 // The references trade every optimization for obviousness: quadratic
 // walks, per-query recounts, linear code-book scans. They are test

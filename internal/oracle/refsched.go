@@ -2,9 +2,16 @@ package oracle
 
 import "lattecc/internal/sim"
 
+// WarpCandidate is one warp as the reference scheduler sees it: its id
+// and whether it can issue this cycle.
+type WarpCandidate struct {
+	ID    int
+	Ready bool
+}
+
 // RefPickWarp re-derives one warp-scheduler pick from the policy
 // specification, by explicit searches over the candidate ids rather than
-// internal/sim's single-pass scan:
+// internal/sim's bitset walk over warp positions:
 //
 //   - GTO: issue the last issued warp if it is ready; otherwise issue the
 //     oldest ready warp (minimum id — warp ids are assigned in launch
@@ -15,9 +22,10 @@ import "lattecc/internal/sim"
 //
 // It returns the chosen warp id (not a slice index) so it is meaningful
 // regardless of candidate ordering. Candidates must have unique ids; the
-// SM presents them in age order, which is where the optimized scan-order
-// shortcut gets its correctness — the oracle does not rely on it.
-func RefPickWarp(kind sim.SchedulerKind, lastWarp int, cands []sim.WarpCandidate) (int, bool) {
+// SM's positions are in age order, which is where the optimized
+// lowest-position shortcut gets its correctness — the oracle does not
+// rely on it.
+func RefPickWarp(kind sim.SchedulerKind, lastWarp int, cands []WarpCandidate) (int, bool) {
 	minReady := -1
 	minAfter := -1
 	lastReady := false
@@ -71,7 +79,7 @@ func NewRefScheduler(kind sim.SchedulerKind) *RefScheduler {
 // (ok=false when the scheduler stalls). The differential driver assumes
 // every pick issues successfully; issue-port conflicts are SM pipeline
 // behaviour, not scheduler policy.
-func (r *RefScheduler) Step(cands []sim.WarpCandidate) (int, bool) {
+func (r *RefScheduler) Step(cands []WarpCandidate) (int, bool) {
 	ready := 0
 	for _, c := range cands {
 		if c.Ready {

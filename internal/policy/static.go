@@ -30,7 +30,10 @@ type Static struct {
 	needsHC   bool
 }
 
-var _ modes.Controller = (*Static)(nil)
+var (
+	_ modes.Controller  = (*Static)(nil)
+	_ modes.HighCapUser = (*Static)(nil)
+)
 
 // NewStatic returns a static controller for the given mode. epLen and
 // epsPerPeriod control the high-capacity code-book rebuild cadence; they
@@ -47,6 +50,10 @@ func NewStatic(mode modes.Mode, name string, epLen, epsPerPeriod uint64) *Static
 
 // Name implements modes.Controller.
 func (s *Static) Name() string { return s.name }
+
+// UsesHighCap implements modes.HighCapUser: only Static-SC/BPC inserts
+// high-capacity lines.
+func (s *Static) UsesHighCap() bool { return s.needsHC }
 
 // InsertMode implements modes.Controller.
 func (s *Static) InsertMode(int) modes.Mode { return s.mode }

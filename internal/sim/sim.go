@@ -289,8 +289,8 @@ func (s *Sim) Run() Result {
 			// dispatcher (block slots only free on a retire, which needs
 			// a ready warp). Jumping `now` there is therefore invisible
 			// to every counter, the trace stream, and StateHash; it only
-			// removes the empty scheduler scans that dominate memory-
-			// bound stall phases.
+			// removes the idle cycles that dominate memory-bound stall
+			// phases.
 			if next := s.nextInterestingCycle(now); next > now {
 				now = next
 			}

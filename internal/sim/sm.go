@@ -2,14 +2,17 @@ package sim
 
 import (
 	"lattecc/internal/cache"
+	"lattecc/internal/invariant"
 	"lattecc/internal/mem"
 	"lattecc/internal/modes"
 	"lattecc/internal/trace"
 )
 
-// Warp blocking flags. The scheduler scan is the hottest loop in the
-// simulator, so the three blocking conditions share one byte next to
-// nextFree: readiness is a single flags==0 test plus a time compare.
+// Warp blocking flags. The three blocking conditions share one byte next
+// to nextFree: a warp is schedulable when flags == 0 and ready when, in
+// addition, nextFree has passed. The scheduler tracks both incrementally
+// (schedState); every change to flags or nextFree goes through sm.wakeAt
+// or sm.park so the bitsets follow.
 const (
 	wDone       uint8 = 1 << iota // retired
 	wBlockedMem                   // waiting for an in-flight memory request
@@ -20,6 +23,7 @@ const (
 type warp struct {
 	id        int
 	sched     int // owning scheduler
+	pos       int // index in s.schedWarps[sched]
 	blockSlot int
 	prog      trace.Program
 	cur       trace.Inst
@@ -30,59 +34,20 @@ type warp struct {
 	insts    uint64
 }
 
-// ready reports whether the warp can issue at cycle now.
-func (w *warp) ready(now uint64) bool {
-	return w.flags == 0 && w.nextFree <= now
+// wakeAt makes w (flags == 0) schedulable again and ready from cycle at.
+//
+//lint:hotpath
+func (s *sm) wakeAt(w *warp, at uint64) {
+	w.nextFree = at
+	s.scheds[w.sched].wake(w.pos, at)
 }
 
-// wake lowers scheduler si's sleep bound: one of its warps may become
-// ready at cycle `at`, so schedule must scan again no later than that.
-func (s *sm) wake(si int, at uint64) {
-	if at < s.scheds[si].nextWake {
-		s.scheds[si].nextWake = at
-	}
-}
-
-// activeInsert adds a newly schedulable warp (flags just cleared) to its
-// scheduler's active list, keeping warp-id order. Warp ids only grow, so
-// schedWarps is id-ordered and the active list mirrors that.
-func (s *sm) activeInsert(w *warp) {
-	ws := s.schedActive[w.sched]
-	lo, hi := 0, len(ws)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ws[mid].id < w.id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	ws = append(ws, nil)
-	copy(ws[lo+1:], ws[lo:])
-	ws[lo] = w
-	s.schedActive[w.sched] = ws
-}
-
-// activeRemove drops a warp that just blocked (or retired) from its
-// scheduler's active list. Tolerates absence: forceFinish retires warps
-// that are already blocked and therefore already off the list.
-func (s *sm) activeRemove(w *warp) {
-	ws := s.schedActive[w.sched]
-	lo, hi := 0, len(ws)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ws[mid].id < w.id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(ws) || ws[lo] != w {
-		return
-	}
-	copy(ws[lo:], ws[lo+1:])
-	ws[len(ws)-1] = nil
-	s.schedActive[w.sched] = ws[:len(ws)-1]
+// park takes w out of its scheduler's active and ready sets after it
+// blocked or retired.
+//
+//lint:hotpath
+func (s *sm) park(w *warp) {
+	s.scheds[w.sched].park(w.pos)
 }
 
 // memReqAddrCap bounds the inline address buffer: a warp has 32 threads,
@@ -195,26 +160,6 @@ type blockSlot struct {
 	atBarrier int // warps currently waiting at the block barrier
 }
 
-// schedState is one warp scheduler's GTO and tolerance-probe state.
-type schedState struct {
-	lastWarp int // id of the last issued warp (-1 initially)
-
-	// nextWake is a lower bound on the next cycle any of this scheduler's
-	// warps can be ready. When a scan finds zero ready warps it records
-	// the earliest nextFree among unblocked warps here, and schedule
-	// skips the scan entirely until that cycle; every event that can make
-	// a warp ready sooner (fill unblock, barrier release, block launch)
-	// lowers the bound through sm.wake. Purely a cache of what the scan
-	// would conclude, so skipping changes no observable behavior — the
-	// skipped cycles contribute nothing to readySum either way.
-	nextWake uint64
-
-	// Equation 4 accumulators over the tolerance window.
-	readySum uint64 // sum over cycles of (ready warps - 1 issuing), clamped at 0
-	issues   uint64
-	switches uint64
-}
-
 // sm is one streaming multiprocessor. During the parallel phase of a
 // cycle epoch an sm touches only its own state (plus read-only config
 // and the read-only data source): memory traffic goes to the per-SM
@@ -230,17 +175,10 @@ type sm struct {
 	slots  []blockSlot
 	scheds []schedState
 	// schedWarps holds each scheduler's warps (same membership and order
-	// as the warps slice filtered by sched), so schedule scans only its
-	// own warps instead of skipping over every other scheduler's.
+	// as the warps slice filtered by sched). A warp's index here is its
+	// position in the scheduler's readiness bitsets.
 	schedWarps [][]*warp
-	// schedActive is the schedulable subset of schedWarps (flags == 0),
-	// kept in warp-id order — the same order a filtered scan of
-	// schedWarps produces, so PickWarp sees identical candidates. It is
-	// maintained incrementally at block/unblock transitions (at most one
-	// warp blocks per scheduler per cycle), which turns the per-cycle
-	// scheduler scan from O(resident warps) into O(schedulable warps).
-	schedActive [][]*warp
-	liveWarps   int
+	liveWarps  int
 
 	// lsu is the in-order load/store queue; lsuHead indexes the current
 	// front so dequeuing doesn't reslice away buffer capacity.
@@ -286,28 +224,23 @@ type sm struct {
 
 	// traceBuf defers Config.Trace records to the barrier.
 	traceBuf []traceRec
-
-	// per-cycle scheduler scratch, reused to keep schedule allocation-free
-	candScratch []WarpCandidate
-	pickScratch []*warp
 }
 
 func newSM(id int, cfg *Config, ctrl modes.Controller, cacheCfg cache.Config, port *mem.Port, data trace.DataSource) *sm {
 	s := &sm{
-		id:          id,
-		cfg:         cfg,
-		ctrl:        ctrl,
-		port:        port,
-		data:        data,
-		l1:          cache.New(cacheCfg, ctrl),
-		slots:       make([]blockSlot, cfg.MaxBlocksPerSM),
-		scheds:      make([]schedState, cfg.SchedulersPerSM),
-		schedWarps:  make([][]*warp, cfg.SchedulersPerSM),
-		schedActive: make([][]*warp, cfg.SchedulersPerSM),
-		mshr:        make([]mshrEntry, 0, cfg.MSHRs),
+		id:         id,
+		cfg:        cfg,
+		ctrl:       ctrl,
+		port:       port,
+		data:       data,
+		l1:         cache.New(cacheCfg, ctrl),
+		slots:      make([]blockSlot, cfg.MaxBlocksPerSM),
+		scheds:     make([]schedState, cfg.SchedulersPerSM),
+		schedWarps: make([][]*warp, cfg.SchedulersPerSM),
+		mshr:       make([]mshrEntry, 0, cfg.MSHRs),
 	}
 	for i := range s.scheds {
-		s.scheds[i].lastWarp = -1
+		s.scheds[i] = newSchedState(cfg.MaxWarpsPerSM)
 	}
 	if lf, ok := data.(trace.LineFiller); ok {
 		s.lineFill = lf
@@ -391,17 +324,20 @@ func (s *sm) launchBlock(k trace.Kernel, block int) bool {
 		w.sched = s.nextWarpID % s.cfg.SchedulersPerSM
 		w.blockSlot = slot
 		w.prog = k.Program(block, wi)
+		w.pos = len(s.schedWarps[w.sched])
 		s.nextWarpID++
 		s.warps = append(s.warps, w)
 		s.schedWarps[w.sched] = append(s.schedWarps[w.sched], w)
-		s.activeInsert(w)
-		s.wake(w.sched, 0) // fresh warps are ready immediately
+		s.wakeAt(w, 0) // fresh warps are ready immediately
 	}
 	s.liveWarps += k.WarpsPerBlock
 	return true
 }
 
-// compactWarps drops retired warps so the scheduler scan stays O(resident).
+// compactWarps drops retired warps, freeing warp slots for new blocks.
+// It is the only place positions change: each scheduler's last-issue
+// position follows its warp's removal, and the readiness structures are
+// rebuilt from the compacted list.
 func (s *sm) compactWarps() {
 	live := s.warps[:0]
 	for _, w := range s.warps {
@@ -414,16 +350,26 @@ func (s *sm) compactWarps() {
 	}
 	s.warps = live
 	for si := range s.schedWarps {
-		lw := s.schedWarps[si][:0]
-		for _, w := range s.schedWarps[si] {
-			if w.flags&wDone == 0 {
-				lw = append(lw, w)
+		st := &s.scheds[si]
+		ws := s.schedWarps[si]
+		lw := ws[:0]
+		for _, w := range ws {
+			if w.flags&wDone != 0 {
+				// Earlier removals have shifted this warp down to len(lw).
+				st.Remove(len(lw))
+				continue
 			}
+			w.pos = len(lw)
+			lw = append(lw, w)
 		}
-		for i := len(lw); i < len(s.schedWarps[si]); i++ {
-			s.schedWarps[si][i] = nil
+		if len(lw) == len(ws) {
+			continue
+		}
+		for i := len(lw); i < len(ws); i++ {
+			ws[i] = nil
 		}
 		s.schedWarps[si] = lw
+		st.rebuild(lw)
 	}
 }
 
@@ -434,14 +380,14 @@ func (s *sm) busy() bool {
 }
 
 // nextEvent returns the earliest cycle at which this SM can do any work:
-// the next pending fill, the next cycle a schedulable warp becomes ready,
-// or the tolerance-window boundary (probeTolerance fires there and must
-// observe the same `now` as a cycle-by-cycle run). A queued LSU request
-// makes every cycle busy, so the method returns 0 in that case. Only
-// valid after commit, when pend/deferred/traceBuf are empty and every
-// blockedOnMem warp still has its request in the LSU queue — which is
-// what lets Sim.Run prove cycles up to the returned value are no-ops and
-// fast-forward across them without changing a single counter.
+// the next pending fill, the next pending warp wake, or the
+// tolerance-window boundary (probeTolerance fires there and must observe
+// the same `now` as a cycle-by-cycle run). A queued LSU request or a
+// ready warp makes the next cycle busy, so the method returns 0 in those
+// cases. Only valid after commit, when pend/deferred/traceBuf are empty
+// and every blockedOnMem warp still has its request in the LSU queue —
+// which is what lets Sim.Run prove cycles up to the returned value are
+// no-ops and fast-forward across them without changing a single counter.
 func (s *sm) nextEvent() uint64 {
 	if s.lsuHead < len(s.lsu) {
 		return 0
@@ -450,15 +396,31 @@ func (s *sm) nextEvent() uint64 {
 	if len(s.fills) > 0 && s.fills[0].at < next {
 		next = s.fills[0].at
 	}
-	for _, w := range s.warps {
-		if w.flags != 0 {
-			continue
+	for si := range s.scheds {
+		st := &s.scheds[si]
+		if anySet(st.ready) {
+			next = 0
+			break
 		}
-		if w.nextFree < next {
-			next = w.nextFree
+		if at := st.nextWake(); at < next {
+			next = at
 		}
 	}
+	if invariant.Active() {
+		s.checkNextEvent(next)
+	}
 	return next
+}
+
+// checkNextEvent is the paranoid cross-check of nextEvent's wake term: a
+// scan of every schedulable warp must not find one that becomes ready
+// before the returned cycle (stale wakes may only make it earlier).
+func (s *sm) checkNextEvent(got uint64) {
+	for _, w := range s.warps {
+		if w.flags == 0 && w.nextFree < got {
+			invariant.Violationf("sim: SM %d nextEvent %d skips warp %d ready at %d", s.id, got, w.id, w.nextFree)
+		}
+	}
 }
 
 // tickCompute is the parallel half of one cycle: fills, LSU drain into
@@ -498,13 +460,7 @@ func (s *sm) commit(now uint64) {
 	s.port.Reset()
 
 	for i, req := range s.deferred {
-		w := req.w
-		w.flags &^= wBlockedMem
-		w.nextFree = req.readyMax
-		if w.flags == 0 {
-			s.activeInsert(w)
-		}
-		s.wake(w.sched, req.readyMax)
+		s.unblockMem(req.w, req.readyMax)
 		s.releaseReq(req)
 		s.deferred[i] = nil
 	}
@@ -517,6 +473,16 @@ func (s *sm) commit(now uint64) {
 			s.cfg.Trace.Record(s.id, now, tr.addr, tr.write)
 		}
 		s.traceBuf = s.traceBuf[:0]
+	}
+}
+
+// unblockMem releases a warp whose memory instruction has drained; it
+// may issue again from cycle ready.
+func (s *sm) unblockMem(w *warp, ready uint64) {
+	w.flags &^= wBlockedMem
+	w.nextFree = ready
+	if w.flags == 0 {
+		s.wakeAt(w, ready)
 	}
 }
 
@@ -594,13 +560,7 @@ func (s *sm) drainLSU(now uint64) {
 				// Every transaction hit or merged into an already-resolved
 				// fill: the ready time is final. It is always > now, so
 				// unblocking here vs at commit cannot change scheduling.
-				w := req.w
-				w.flags &^= wBlockedMem
-				w.nextFree = req.readyMax
-				if w.flags == 0 {
-					s.activeInsert(w)
-				}
-				s.wake(w.sched, req.readyMax)
+				s.unblockMem(req.w, req.readyMax)
 				s.releaseReq(req)
 			default:
 				s.deferred = append(s.deferred, req)
@@ -626,10 +586,13 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 		}
 		// Sample hit values into the high-capacity VFT (1 in 16 hits):
 		// the table tracks value *use* frequency, and hit-dominated
-		// phases would otherwise never refresh it.
-		s.hitSample++
-		if s.hitSample&0xF == 0 {
-			s.l1.TrainHighCap(s.line(lineAddr))
+		// phases would otherwise never refresh it. Caches that never
+		// train skip the sample and its line render.
+		if s.l1.TrainsHighCap() {
+			s.hitSample++
+			if s.hitSample&0xF == 0 {
+				s.l1.TrainHighCap(s.line(lineAddr))
+			}
 		}
 		return true
 	}
@@ -675,65 +638,54 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 }
 
 // schedule runs each warp scheduler once (one issue per scheduler per
-// cycle, Table II: 2 schedulers per SM). The selection itself lives in
-// PickWarp so the differential oracle exercises the exact production
-// logic; this method only gathers candidates and does the accounting.
+// cycle, Table II: 2 schedulers per SM). Readiness is incremental: the
+// scheduler's due wakes move into its ready bitset, and SchedState.Select
+// — the same call the differential oracle makes — does the tolerance-probe
+// accounting and the pick. No warp list is scanned.
+//
+//lint:hotpath
 func (s *sm) schedule(now uint64) uint64 {
 	var issued uint64
 	for si := range s.scheds {
 		st := &s.scheds[si]
-		if st.nextWake > now {
-			// Proven asleep: no warp of this scheduler can be ready
-			// before nextWake, so the scan below would find nothing.
-			continue
+		ws := s.schedWarps[si]
+		st.drain(ws, now)
+		if invariant.Active() {
+			s.checkReady(si, now)
 		}
-		ws := s.schedActive[si]
-		if len(ws) == 0 {
-			continue
-		}
-		// PickWarp ignores non-ready candidates entirely (first/greedy/
-		// round-robin are all computed over the ready subsequence), so
-		// feeding it only the ready warps picks the same warp while
-		// skipping the per-cycle candidate writes for blocked ones —
-		// the common case in memory-bound phases. The active list holds
-		// exactly the flags==0 warps in id order, so only the nextFree
-		// time gate remains to check.
-		cands := s.candScratch[:0]
-		picks := s.pickScratch[:0]
-		wake := ^uint64(0)
-		for _, w := range ws {
-			if w.nextFree <= now {
-				cands = append(cands, WarpCandidate{ID: w.id, Ready: true})
-				picks = append(picks, w)
-			} else if w.nextFree < wake {
-				wake = w.nextFree
-			}
-		}
-		s.candScratch = cands
-		s.pickScratch = picks
-		if len(cands) == 0 {
-			// Sleep until the earliest unblocked warp's nextFree; blocked
-			// warps wake the scheduler through sm.wake when they unblock.
-			st.nextWake = wake
-			continue
-		}
-		// Tolerance probe: ready warps on this scheduler.
-		st.readySum += uint64(len(cands) - 1)
-		idx, ok := PickWarp(s.cfg.Scheduler, st.lastWarp, cands)
+		pos, ok := st.Select(s.cfg.Scheduler, st.ready)
 		if !ok {
 			continue
 		}
-		pick := picks[idx]
-		if pick.id != st.lastWarp {
-			st.switches++
-			st.lastWarp = pick.id
-		}
-		if s.issue(pick, now) {
-			st.issues++
+		if s.issue(ws[pos], now) {
+			st.Issues++
 			issued++
 		}
 	}
 	return issued
+}
+
+// checkReady is the paranoid cross-check of schedule's bitsets: a
+// brute-force scan of scheduler si's warps must give the same active and
+// ready sets, and every warp must sit at its recorded position.
+func (s *sm) checkReady(si int, now uint64) {
+	st := &s.scheds[si]
+	ws := s.schedWarps[si]
+	for p := 0; p < len(st.ready)*64; p++ {
+		var active, ready bool
+		if p < len(ws) {
+			w := ws[p]
+			if w.pos != p {
+				invariant.Violationf("sim: SM %d sched %d warp %d at position %d records %d", s.id, si, w.id, p, w.pos)
+			}
+			active = w.flags == 0
+			ready = active && w.nextFree <= now
+		}
+		if bitHas(st.active, p) != active || bitHas(st.ready, p) != ready {
+			invariant.Violationf("sim: SM %d sched %d cycle %d position %d: bitsets active=%v ready=%v, scan active=%v ready=%v",
+				s.id, si, now, p, bitHas(st.active, p), bitHas(st.ready, p), active, ready)
+		}
+	}
 }
 
 // issue executes one instruction from the warp; it returns false when the
@@ -758,24 +710,24 @@ func (s *sm) issue(w *warp, now uint64) bool {
 		if lat == 0 {
 			lat = 1
 		}
-		w.nextFree = now + lat
+		s.wakeAt(w, now+lat)
 	case trace.OpLoad:
 		if len(inst.Addrs) == 0 {
-			w.nextFree = now + 1
+			s.wakeAt(w, now+1)
 			return true
 		}
 		w.flags |= wBlockedMem
-		s.activeRemove(w)
+		s.park(w)
 		s.lsu = append(s.lsu, s.newMemReq(w, inst.Addrs, false))
 	case trace.OpStore:
-		w.nextFree = now + 1
+		s.wakeAt(w, now+1)
 		if len(inst.Addrs) > 0 {
 			s.lsu = append(s.lsu, s.newMemReq(w, inst.Addrs, true))
 		}
 	case trace.OpBarrier:
 		s.arriveBarrier(w, now)
 	default:
-		w.nextFree = now + 1
+		s.wakeAt(w, now+1)
 	}
 	return true
 }
@@ -785,21 +737,26 @@ func (s *sm) issue(w *warp, now uint64) bool {
 func (s *sm) arriveBarrier(w *warp, now uint64) {
 	slot := &s.slots[w.blockSlot]
 	w.flags |= wAtBarrier
-	s.activeRemove(w)
+	s.park(w)
 	slot.atBarrier++
 	if slot.atBarrier < slot.remaining {
 		return
 	}
 	// Last arrival: release everyone next cycle.
 	slot.atBarrier = 0
+	s.releaseBarrier(w.blockSlot, now+1)
+}
+
+// releaseBarrier frees every warp of the block in slot bs that waits at
+// its barrier; they may issue from cycle at.
+func (s *sm) releaseBarrier(bs int, at uint64) {
 	for _, o := range s.warps {
-		if o.flags&(wDone|wAtBarrier) == wAtBarrier && o.blockSlot == w.blockSlot {
+		if o.flags&(wDone|wAtBarrier) == wAtBarrier && o.blockSlot == bs {
 			o.flags &^= wAtBarrier
-			o.nextFree = now + 1
+			o.nextFree = at
 			if o.flags == 0 {
-				s.activeInsert(o)
+				s.wakeAt(o, at)
 			}
-			s.wake(o.sched, now+1)
 		}
 	}
 }
@@ -811,7 +768,7 @@ func (s *sm) retire(w *warp) {
 		return
 	}
 	w.flags |= wDone
-	s.activeRemove(w)
+	s.park(w)
 	s.liveWarps--
 	slot := &s.slots[w.blockSlot]
 	slot.remaining--
@@ -824,16 +781,7 @@ func (s *sm) retire(w *warp) {
 	// if it was the last one missing, release the block.
 	if slot.atBarrier > 0 && slot.atBarrier >= slot.remaining {
 		slot.atBarrier = 0
-		for _, o := range s.warps {
-			if o.flags&(wDone|wAtBarrier) == wAtBarrier && o.blockSlot == w.blockSlot {
-				o.flags &^= wAtBarrier
-				o.nextFree = 0
-				if o.flags == 0 {
-					s.activeInsert(o)
-				}
-				s.wake(o.sched, 0)
-			}
-		}
+		s.releaseBarrier(w.blockSlot, 0)
 	}
 }
 
@@ -878,16 +826,16 @@ func (s *sm) probeTolerance(now uint64) {
 	var tol float64
 	for si := range s.scheds {
 		st := &s.scheds[si]
-		avgReady := float64(st.readySum) / window
+		avgReady := float64(st.ReadySum) / window
 		execPerSched := 1.0
-		if st.switches > 0 {
-			execPerSched = float64(st.issues) / float64(st.switches)
+		if st.Switches > 0 {
+			execPerSched = float64(st.Issues) / float64(st.Switches)
 		}
 		t := avgReady * execPerSched
 		if t > tol {
 			tol = t
 		}
-		st.readySum, st.issues, st.switches = 0, 0, 0
+		st.ReadySum, st.Issues, st.Switches = 0, 0, 0
 	}
 	if tol > s.cfg.ToleranceCap {
 		tol = s.cfg.ToleranceCap
