@@ -5,7 +5,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench . -benchtime 1x -count 3 -benchmem . | \
-//	    benchdiff -out BENCH_PR6.json -baseline-dir . -max-regress 1.20
+//	    benchdiff -out bench.json -baseline-dir . -max-regress 1.20
 //
 //	benchdiff -in bench.out -baseline BENCH_PR3.json   # explicit baseline
 //
@@ -18,6 +18,11 @@
 // Benchmarks that appear or disappear are reported but never fail the
 // gate. With no baseline available (first run) the tool just writes
 // -out and succeeds.
+//
+// Each baseline also records the host it was measured on (CPU model,
+// OS/arch, GOMAXPROCS, Go version). A comparison across hosts prints a
+// warning, since its ratios then mix code and machine changes, but the
+// gate still applies.
 package main
 
 import (
@@ -29,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,9 +51,23 @@ type Bench struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// File is the committed baseline format.
+// Host identifies the machine and toolchain a run was measured on. CPU,
+// GOOS and GOARCH come from the `go test` header, GOMAXPROCS from the
+// "-N" tail of the benchmark names, GoVersion from this binary's
+// runtime.
+type Host struct {
+	CPU        string `json:"cpu,omitempty"`
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+}
+
+// File is the committed baseline format. Host is nil in baselines
+// recorded before it was added.
 type File struct {
 	Label      string           `json:"label,omitempty"`
+	Host       *Host            `json:"host,omitempty"`
 	Benchmarks map[string]Bench `json:"benchmarks"`
 }
 
@@ -86,6 +106,7 @@ func run(in, out, baseline, blDir string, maxRegress float64, label string) erro
 		return fmt.Errorf("no benchmark lines found in %s", in)
 	}
 	current.Label = label
+	current.Host.GoVersion = runtime.Version()
 
 	// Resolve the baseline before writing -out, so a CI run that
 	// overwrites the committed file still compares against it.
@@ -119,8 +140,41 @@ func run(in, out, baseline, blDir string, maxRegress float64, label string) erro
 		fmt.Println("no baseline to compare against; treating this run as the first baseline")
 		return nil
 	}
+	if w := hostWarning(basePath, base.Host, current.Host); w != "" {
+		fmt.Println(w)
+	}
 	return compare(base, current, basePath, maxRegress)
 }
+
+// hostWarning describes how the baseline's host differs from this
+// run's, or returns "" when they match. A baseline without a host
+// block is reported as unknown.
+func hostWarning(basePath string, base, cur *Host) string {
+	if base == nil {
+		return fmt.Sprintf("warning: %s records no host; ratios may reflect a machine change", basePath)
+	}
+	var diffs []string
+	for _, f := range []struct{ name, base, cur string }{
+		{"cpu", base.CPU, cur.CPU},
+		{"goos", base.GOOS, cur.GOOS},
+		{"goarch", base.GOARCH, cur.GOARCH},
+		{"gomaxprocs", strconv.Itoa(base.GOMAXPROCS), strconv.Itoa(cur.GOMAXPROCS)},
+		{"go", base.GoVersion, cur.GoVersion},
+	} {
+		if f.base != f.cur {
+			diffs = append(diffs, fmt.Sprintf("%s %q -> %q", f.name, f.base, f.cur))
+		}
+	}
+	if len(diffs) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("warning: %s was recorded on a different host (%s); ratios mix code and machine changes",
+		basePath, strings.Join(diffs, ", "))
+}
+
+// headerLine matches the `go test -bench` header lines that describe
+// the host, e.g. "cpu: AMD EPYC 7B13".
+var headerLine = regexp.MustCompile(`^(goos|goarch|cpu):\s*(.*)$`)
 
 // benchLine matches one `go test -bench` result line, e.g.
 // "BenchmarkFig11Speedup/SS/LATTE-CC-8  1  123456 ns/op  1.234 speedup".
@@ -155,14 +209,28 @@ func runProcSuffix(lines []benchResult) string {
 }
 
 // parseBench folds bench output into per-benchmark records, keeping the
-// minimum ns/op seen across repeated -count runs. Names are keyed without
-// the run's GOMAXPROCS suffix, so baselines compare across core counts.
+// minimum ns/op seen across repeated -count runs, and reads the host
+// from the header. Names are keyed without the run's GOMAXPROCS suffix,
+// so baselines compare across core counts.
 func parseBench(r io.Reader) (*File, error) {
 	var lines []benchResult
+	host := &Host{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
+		text := strings.TrimSpace(sc.Text())
+		if m := headerLine.FindStringSubmatch(text); m != nil {
+			switch m[1] {
+			case "goos":
+				host.GOOS = m[2]
+			case "goarch":
+				host.GOARCH = m[2]
+			case "cpu":
+				host.CPU = m[2]
+			}
+			continue
+		}
+		m := benchLine.FindStringSubmatch(text)
 		if m == nil {
 			continue
 		}
@@ -172,8 +240,13 @@ func parseBench(r io.Reader) (*File, error) {
 		return nil, err
 	}
 	suffix := runProcSuffix(lines)
+	// Go prints no suffix at GOMAXPROCS=1.
+	host.GOMAXPROCS = 1
+	if suffix != "" {
+		host.GOMAXPROCS, _ = strconv.Atoi(suffix[1:])
+	}
 
-	out := &File{Benchmarks: map[string]Bench{}}
+	out := &File{Host: host, Benchmarks: map[string]Bench{}}
 	for _, l := range lines {
 		name := strings.TrimPrefix(strings.TrimSuffix(l.name, suffix), "Benchmark")
 		fields := l.fields

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -152,5 +153,88 @@ func TestRunWritesAndGates(t *testing.T) {
 	if err := run(in, filepath.Join(dir, "BENCH_PR2.json"), "", dir, 1.2, ""); err == nil ||
 		!strings.Contains(err.Error(), "X: 100 -> 200 ns/op") {
 		t.Fatalf("regressed run: %v", err)
+	}
+}
+
+// benchHeader is the host header `go test -bench` prints before its
+// result lines.
+const benchHeader = `goos: linux
+goarch: amd64
+pkg: lattecc
+cpu: AMD EPYC 7B13
+`
+
+// TestParseHost reads CPU, OS and arch from the header and GOMAXPROCS
+// from the names' shared "-N" tail (none means 1).
+func TestParseHost(t *testing.T) {
+	f := parse(t, benchHeader+"BenchmarkX-4 \t 1\t 100 ns/op\nBenchmarkY-4 \t 1\t 50 ns/op\n")
+	want := Host{CPU: "AMD EPYC 7B13", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 4}
+	if f.Host == nil || *f.Host != want {
+		t.Fatalf("host = %+v, want %+v", f.Host, want)
+	}
+	one := parse(t, benchHeader+"BenchmarkAblationDecompBuffer/on-8 \t 1\t 100 ns/op\nBenchmarkX \t 1\t 100 ns/op\n")
+	if one.Host.GOMAXPROCS != 1 {
+		t.Fatalf("unsuffixed run: GOMAXPROCS = %d, want 1", one.Host.GOMAXPROCS)
+	}
+}
+
+// TestHostRoundTrip: the host block survives a write and a read, and
+// carries this binary's Go version.
+func TestHostRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "bench.out")
+	if err := os.WriteFile(in, []byte(benchHeader+"BenchmarkX-2 \t 1\t 100 ns/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "BENCH_PR1.json")
+	if err := run(in, out, "", "", 1.2, ""); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readBaseline(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Host{CPU: "AMD EPYC 7B13", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, GoVersion: runtime.Version()}
+	if got.Host == nil || *got.Host != want {
+		t.Fatalf("read back host %+v, want %+v", got.Host, want)
+	}
+}
+
+// TestCrossHostWarns: a baseline from another host, or with no host
+// block, draws a warning naming what differs, and the gate still passes
+// a run within bounds.
+func TestCrossHostWarns(t *testing.T) {
+	cur := &Host{CPU: "AMD EPYC 7B13", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, GoVersion: "go1.24.0"}
+	same := *cur
+	if w := hostWarning("BENCH_PR1.json", &same, cur); w != "" {
+		t.Errorf("same host warned: %s", w)
+	}
+	other := *cur
+	other.CPU, other.GOMAXPROCS = "Intel Xeon", 8
+	w := hostWarning("BENCH_PR1.json", &other, cur)
+	for _, want := range []string{"different host", `cpu "Intel Xeon" -> "AMD EPYC 7B13"`, `gomaxprocs "8" -> "2"`} {
+		if !strings.Contains(w, want) {
+			t.Errorf("warning %q does not mention %q", w, want)
+		}
+	}
+	if strings.Contains(w, "goos") {
+		t.Errorf("warning names a field that matches: %q", w)
+	}
+	if w := hostWarning("BENCH_PR1.json", nil, cur); !strings.Contains(w, "records no host") {
+		t.Errorf("hostless baseline: %q", w)
+	}
+
+	dir := t.TempDir()
+	base := `{"host":{"cpu":"Intel Xeon","goos":"linux","goarch":"amd64","gomaxprocs":8,"go_version":"go1.20"},` +
+		`"benchmarks":{"X":{"ns_per_op":100}}}`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_PR1.json"), []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(dir, "bench.out")
+	if err := os.WriteFile(in, []byte(benchHeader+"BenchmarkX-2 \t 1\t 110 ns/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(in, "", "", dir, 1.2, ""); err != nil {
+		t.Fatalf("cross-host run within bounds must pass: %v", err)
 	}
 }

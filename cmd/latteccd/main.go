@@ -17,7 +17,6 @@
 //	POST /v1/runs              submit a run or batch; 202 with a job ID
 //	GET  /v1/runs/{id}         job status and results
 //	GET  /v1/runs/{id}/events  SSE progress stream
-//	GET  /v1/results/{key}     raw result-store entry (cache-peer protocol)
 //	GET  /metrics              Prometheus text format
 //	GET  /healthz, /readyz     probes (readyz answers 503 while draining)
 //
@@ -30,7 +29,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -43,37 +41,20 @@ import (
 	"lattecc/internal/tracefile"
 )
 
-// defaultAdvertise derives the URL a router on the same host can dial
-// this worker at from its -addr flag: ":8437" and "0.0.0.0:8437"
-// advertise the loopback address, explicit hosts advertise themselves.
-func defaultAdvertise(addr string) string {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "http://127.0.0.1" + addr // addr was ":port"-less junk; let the URL check reject it
-	}
-	if host == "" || host == "0.0.0.0" || host == "::" {
-		host = "127.0.0.1"
-	}
-	return "http://" + net.JoinHostPort(host, port)
-}
-
 func main() {
 	var (
-		addr      = flag.String("addr", ":8437", "listen address")
-		workers   = flag.Int("workers", 2, "jobs executing concurrently")
-		jobs      = flag.Int("jobs", 0, "simulation pool width per job (0 = GOMAXPROCS)")
-		smJobs    = flag.Int("smjobs", 0, "worker goroutines ticking SMs inside each simulation (0/1 = serial; results are bit-identical for any value)")
-		queue     = flag.Int("queue", 64, "admission queue depth (overflow answers 429)")
-		deadline  = flag.Duration("deadline", 5*time.Minute, "default per-job deadline")
-		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
-		quick     = flag.Bool("quick", false, "use a smaller GPU (2 SMs) for a fast smoke pass")
-		tiny      = flag.Bool("tiny", false, "use the CI golden-gate machine (2 SMs, 120k-instruction cap)")
-		join      = flag.String("join", "", "cluster router base URL to register with (e.g. http://127.0.0.1:8500)")
-		advertise = flag.String("advertise", "", "base URL the router should dial this worker at (default http://127.0.0.1:<addr port>)")
-		heartbeat = flag.Duration("heartbeat", 5*time.Second, "re-registration cadence while joined to a router")
-		storeDir  = flag.String("store", "", "persistent result-store directory (empty = memory-only)")
-		storeMax  = flag.Int64("store-max-bytes", 0, "result-store size bound in bytes; least-recently-used entries are evicted (0 = unbounded)")
-		traceDir  = flag.String("trace-dir", "", "trace-corpus directory: register every <NAME>.lct/<NAME>.json pair as a replay workload")
+		addr     = flag.String("addr", ":8437", "listen address")
+		workers  = flag.Int("workers", 2, "jobs executing concurrently")
+		jobs     = flag.Int("jobs", 0, "simulation pool width per job (0 = GOMAXPROCS)")
+		smJobs   = flag.Int("smjobs", 0, "worker goroutines ticking SMs inside each simulation (0/1 = serial; results are bit-identical for any value)")
+		queue    = flag.Int("queue", 64, "admission queue depth (overflow answers 429)")
+		deadline = flag.Duration("deadline", 5*time.Minute, "default per-job deadline")
+		drain    = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
+		quick    = flag.Bool("quick", false, "use a smaller GPU (2 SMs) for a fast smoke pass")
+		tiny     = flag.Bool("tiny", false, "use the CI golden-gate machine (2 SMs, 120k-instruction cap)")
+		storeDir = flag.String("store", "", "persistent result-store directory (empty = memory-only)")
+		storeMax = flag.Int64("store-max-bytes", 0, "result-store size bound in bytes; least-recently-used entries are evicted (0 = unbounded)")
+		traceDir = flag.String("trace-dir", "", "trace-corpus directory: register every <NAME>.lct/<NAME>.json pair as a replay workload")
 	)
 	flag.Parse()
 	if *traceDir != "" {
@@ -111,14 +92,6 @@ func main() {
 	}
 	cfg.SMJobs = *smJobs
 
-	// The advertise URL does double duty: it is what the registrar
-	// announces to the router AND the self-exclusion key for the
-	// cache-peer lookup, so it is resolved before the server is built.
-	adv := *advertise
-	if adv == "" {
-		adv = defaultAdvertise(*addr)
-	}
-
 	srvCfg := server.Config{
 		BaseConfig:      cfg,
 		Workers:         *workers,
@@ -133,11 +106,6 @@ func main() {
 			os.Exit(2)
 		}
 		srvCfg.Store = st
-		if *join != "" {
-			// Clustered and stored: rescue local misses from every other
-			// registered worker's store before simulating.
-			srvCfg.Peers = server.RouterPeers(*join, adv)
-		}
 		c := st.Counters()
 		fmt.Fprintf(os.Stderr, "latteccd: result store %s (%d entries, %d bytes)\n",
 			*storeDir, c.Entries, c.Bytes)
@@ -152,21 +120,6 @@ func main() {
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "latteccd: serving on %s (workers=%d queue=%d)\n", *addr, *workers, *queue)
 
-	// Cluster membership: announce this worker to the router and keep
-	// heartbeating. The router that is not up yet is retried forever —
-	// worker and router start order is deliberately free.
-	var registrar *server.Registrar
-	if *join != "" {
-		var err error
-		registrar, err = server.StartRegistrar(*join, adv, *heartbeat, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "latteccd: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	select {
 	case err := <-errCh:
 		fmt.Fprintf(os.Stderr, "latteccd: %v\n", err)
@@ -177,11 +130,6 @@ func main() {
 	fmt.Fprintln(os.Stderr, "latteccd: draining...")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	if registrar != nil {
-		// Deregister first so the router reroutes new jobs immediately
-		// instead of noticing the drain at its next health probe.
-		registrar.Stop(drainCtx)
-	}
 	drainErr := srv.Shutdown(drainCtx)
 	if err := hs.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "latteccd: http shutdown: %v\n", err)

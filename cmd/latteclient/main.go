@@ -1,24 +1,21 @@
-// Command latteclient is the CI-facing client for latteccd and
-// latteroute: a small, dependency-free replacement for the curl +
-// python3 JSON poking the daemon-smoke workflow used to inline. The
-// same binary drives a single worker and the cluster router — their
-// job APIs are wire-compatible by construction.
+// Command latteclient is the CI-facing client for latteccd: a small,
+// dependency-free replacement for the curl + python3 JSON poking the
+// daemon-smoke workflow used to inline.
 //
 // Commands:
 //
-//	latteclient ready   -addr URL [-timeout 30s] [-min-workers N]
-//	    Poll /readyz until it answers 200 (and, against a router, until
-//	    at least -min-workers non-draining workers are registered).
+//	latteclient ready   -addr URL [-timeout 30s]
+//	    Poll /readyz until it answers 200.
 //
 //	latteclient submit  -addr URL (-runs W:P,... | -runs-from FILE)
-//	                    [-split] [-golden FILE] [-timeout 5m] [-interval 200ms]
-//	    Submit runs, poll to completion, and print one sorted
-//	    "hash <workload> <policy> - 0x<state-hash>" line per run —
-//	    byte-compatible with `experiments -hashes` output. -runs-from
+//	                    [-golden FILE] [-timeout 5m] [-interval 200ms]
+//	    Submit runs as one batch, poll to completion, and print one
+//	    sorted "hash <workload> <policy> - 0x<state-hash>" line per run
+//	    — byte-compatible with `experiments -hashes` output. -runs-from
 //	    reads runs out of such a file, so a golden hash file doubles as
-//	    the batch spec. -split submits one job per run instead of one
-//	    batch (spreads jobs across cluster workers). -golden asserts
-//	    every printed line appears in FILE and fails otherwise.
+//	    the batch spec. The job must return every requested run exactly
+//	    once; -golden additionally asserts every printed line appears in
+//	    FILE.
 //
 //	latteclient metrics -addr URL [-grep REGEXP]...
 //	    Fetch /metrics, print it, and fail unless every -grep pattern
@@ -38,6 +35,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,31 +49,53 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "ready":
-		err = cmdReady(os.Args[2:])
-	case "submit":
-		err = cmdSubmit(os.Args[2:])
-	case "metrics":
-		err = cmdMetrics(os.Args[2:])
-	case "store":
-		err = cmdStore(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-		return
 	default:
-		fmt.Fprintf(os.Stderr, "latteclient: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
 		fmt.Fprintf(os.Stderr, "latteclient: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// errUsage reports a command line that names no known command or
+// carries a bad flag; the message has already been printed.
+var errUsage = errors.New("usage")
+
+// parseFlags parses a command's flags, turning a bad flag into errUsage.
+// A -h request comes back as flag.ErrHelp, which stops the command.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
+}
+
+// run dispatches one command line, writing command output to stdout.
+func run(args []string, stdout io.Writer) error {
+	if len(args) < 1 {
+		usage()
+		return errUsage
+	}
+	switch args[0] {
+	case "ready":
+		return cmdReady(args[1:])
+	case "submit":
+		return cmdSubmit(args[1:], stdout)
+	case "metrics":
+		return cmdMetrics(args[1:], stdout)
+	case "store":
+		return cmdStore(args[1:], stdout)
+	case "-h", "-help", "--help", "help":
+		usage()
+		return nil
+	default:
+		fmt.Fprintf(os.Stderr, "latteclient: unknown command %q\n", args[0])
+		usage()
+		return errUsage
 	}
 }
 
@@ -90,15 +110,16 @@ var client = &http.Client{Timeout: 15 * time.Second}
 // --- ready ------------------------------------------------------------
 
 func cmdReady(args []string) error {
-	fs := flag.NewFlagSet("ready", flag.ExitOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8437", "daemon or router base URL")
+	fs := flag.NewFlagSet("ready", flag.ContinueOnError)
+	addr := fs.String("addr", "http://127.0.0.1:8437", "daemon base URL")
 	timeout := fs.Duration("timeout", 30*time.Second, "give up after this long")
-	minWorkers := fs.Int("min-workers", 0, "additionally wait for this many non-draining registered workers (router only)")
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	deadline := time.Now().Add(*timeout)
 	for {
-		if ok := probeReady(*addr, *minWorkers); ok {
+		if probeReady(*addr) {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -108,42 +129,14 @@ func cmdReady(args []string) error {
 	}
 }
 
-func probeReady(addr string, minWorkers int) bool {
+func probeReady(addr string) bool {
 	resp, err := client.Get(addr + "/readyz")
 	if err != nil {
 		return false
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
-	if minWorkers <= 0 {
-		return true
-	}
-	wresp, err := client.Get(addr + "/v1/workers")
-	if err != nil || wresp.StatusCode != http.StatusOK {
-		if wresp != nil {
-			wresp.Body.Close()
-		}
-		return false
-	}
-	defer wresp.Body.Close()
-	var body struct {
-		Workers []struct {
-			Draining bool `json:"draining"`
-		} `json:"workers"`
-	}
-	if err := json.NewDecoder(wresp.Body).Decode(&body); err != nil {
-		return false
-	}
-	n := 0
-	for _, w := range body.Workers {
-		if !w.Draining {
-			n++
-		}
-	}
-	return n >= minWorkers
+	return resp.StatusCode == http.StatusOK
 }
 
 // --- submit -----------------------------------------------------------
@@ -155,29 +148,32 @@ type runSpec struct {
 	Policy   string `json:"policy"`
 }
 
-// jobStatus is the subset of the daemon's and router's job view the
-// client reads — the two are wire-compatible.
-type jobStatus struct {
-	ID      string `json:"id"`
-	Status  string `json:"status"`
-	Error   string `json:"error,omitempty"`
-	Results []struct {
-		Workload  string `json:"workload"`
-		Policy    string `json:"policy"`
-		StateHash string `json:"state_hash"`
-	} `json:"results,omitempty"`
+// runResult is one completed run as the client reads it.
+type runResult struct {
+	Workload  string `json:"workload"`
+	Policy    string `json:"policy"`
+	StateHash string `json:"state_hash"`
 }
 
-func cmdSubmit(args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8437", "daemon or router base URL")
+// jobStatus is the subset of the daemon's job view the client reads.
+type jobStatus struct {
+	ID      string      `json:"id"`
+	Status  string      `json:"status"`
+	Error   string      `json:"error,omitempty"`
+	Results []runResult `json:"results,omitempty"`
+}
+
+func cmdSubmit(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
+	addr := fs.String("addr", "http://127.0.0.1:8437", "daemon base URL")
 	runsArg := fs.String("runs", "", "comma-separated WORKLOAD:POLICY pairs, e.g. SS:LATTE-CC,BO:Uncompressed")
 	runsFrom := fs.String("runs-from", "", "read runs from an `experiments -hashes` style file")
-	split := fs.Bool("split", false, "submit one job per run instead of one batch")
 	golden := fs.String("golden", "", "fail unless every emitted hash line appears in this file")
 	timeout := fs.Duration("timeout", 5*time.Minute, "overall completion deadline")
 	interval := fs.Duration("interval", 200*time.Millisecond, "status poll cadence")
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	runs, err := parseRuns(*runsArg, *runsFrom)
 	if err != nil {
@@ -188,39 +184,64 @@ func cmdSubmit(args []string) error {
 	}
 
 	deadline := time.Now().Add(*timeout)
-	batches := [][]runSpec{runs}
-	if *split {
-		batches = make([][]runSpec, 0, len(runs))
-		for _, r := range runs {
-			batches = append(batches, []runSpec{r})
-		}
-	}
-	ids := make([]string, 0, len(batches))
-	for _, b := range batches {
-		id, err := submitBatch(*addr, b, deadline)
-		if err != nil {
-			return err
-		}
-		ids = append(ids, id)
-	}
-	fmt.Fprintf(os.Stderr, "latteclient: submitted %d run(s) as %d job(s)\n", len(runs), len(ids))
-
-	lines, err := pollAll(*addr, ids, deadline, *interval)
+	id, err := submitBatch(*addr, runs, deadline)
 	if err != nil {
 		return err
 	}
-	if len(lines) != len(runs) {
-		return fmt.Errorf("want %d result lines, got %d", len(runs), len(lines))
+	fmt.Fprintf(os.Stderr, "latteclient: submitted %d run(s) as job %s\n", len(runs), id)
+
+	results, err := pollJob(*addr, id, deadline, *interval)
+	if err != nil {
+		return err
+	}
+	if err := checkCoverage(runs, results); err != nil {
+		return err
+	}
+	lines := make([]string, 0, len(results))
+	for _, r := range results {
+		lines = append(lines, fmt.Sprintf("hash %s %s - %s", r.Workload, r.Policy, r.StateHash))
 	}
 	sort.Strings(lines)
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(stdout, l)
 	}
 	if *golden != "" {
 		if err := checkGolden(lines, *golden); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "latteclient: all %d hash lines match %s\n", len(lines), *golden)
+	}
+	return nil
+}
+
+// checkCoverage asserts the job returned every requested run exactly
+// once and nothing else: a result count that merely equals the request
+// count would let one run returned twice hide another that is missing.
+func checkCoverage(runs []runSpec, results []runResult) error {
+	seen := make(map[runSpec]int, len(runs))
+	for _, r := range runs {
+		seen[r] = 0
+	}
+	var problems []string
+	for _, r := range results {
+		k := runSpec{Workload: r.Workload, Policy: r.Policy}
+		if _, ok := seen[k]; !ok {
+			problems = append(problems, fmt.Sprintf("unrequested run %s/%s", k.Workload, k.Policy))
+			continue
+		}
+		seen[k]++
+	}
+	for _, r := range runs {
+		switch n := seen[r]; {
+		case n == 0:
+			problems = append(problems, fmt.Sprintf("missing run %s/%s", r.Workload, r.Policy))
+		case n > 1:
+			problems = append(problems, fmt.Sprintf("run %s/%s returned %d times", r.Workload, r.Policy, n))
+		}
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("job returned %d result(s) for %d requested run(s): %s",
+			len(results), len(runs), strings.Join(problems, "; "))
 	}
 	return nil
 }
@@ -268,8 +289,8 @@ func parseRuns(runsArg, runsFrom string) ([]runSpec, error) {
 	return runs, nil
 }
 
-// submitBatch POSTs one job, retrying 429/503 answers (queue pressure,
-// a router between workers) until the deadline.
+// submitBatch POSTs one job, retrying 429/503 answers (queue pressure)
+// until the deadline.
 func submitBatch(addr string, runs []runSpec, deadline time.Time) (string, error) {
 	body, err := json.Marshal(map[string]any{"runs": runs})
 	if err != nil {
@@ -302,43 +323,25 @@ func submitBatch(addr string, runs []runSpec, deadline time.Time) (string, error
 	}
 }
 
-// pollAll sweeps the pending job set until every job is terminal,
-// collecting hash lines from done jobs and failing fast on a failed
-// one.
-func pollAll(addr string, ids []string, deadline time.Time, interval time.Duration) ([]string, error) {
-	pending := map[string]bool{}
-	for _, id := range ids {
-		pending[id] = true
-	}
-	var lines []string
-	for len(pending) > 0 {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%d job(s) still pending at deadline", len(pending))
-		}
-		for _, id := range ids {
-			if !pending[id] {
-				continue
-			}
-			st, err := fetchStatus(addr, id)
-			if err != nil {
-				// Transient router/worker wobble; the deadline bounds it.
-				continue
-			}
+// pollJob polls one job until it is terminal, returning its results
+// when it is done and failing fast when it failed.
+func pollJob(addr, id string, deadline time.Time, interval time.Duration) ([]runResult, error) {
+	for {
+		// A failed status fetch is treated as transient; the deadline
+		// bounds it.
+		if st, err := fetchStatus(addr, id); err == nil {
 			switch st.Status {
 			case "done":
-				for _, r := range st.Results {
-					lines = append(lines, fmt.Sprintf("hash %s %s - %s", r.Workload, r.Policy, r.StateHash))
-				}
-				delete(pending, id)
+				return st.Results, nil
 			case "failed":
 				return nil, fmt.Errorf("job %s failed: %s", id, st.Error)
 			}
 		}
-		if len(pending) > 0 {
-			time.Sleep(interval)
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("job %s still pending at deadline", id)
 		}
+		time.Sleep(interval)
 	}
-	return lines, nil
 }
 
 func fetchStatus(addr, id string) (jobStatus, error) {
@@ -386,29 +389,36 @@ type grepList []string
 func (g *grepList) String() string     { return strings.Join(*g, ", ") }
 func (g *grepList) Set(s string) error { *g = append(*g, s); return nil }
 
+// fetchMetrics returns the body of addr's /metrics.
+func fetchMetrics(addr string) ([]byte, error) {
+	resp, err := client.Get(addr + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("metrics answered %d", resp.StatusCode)
+	}
+	return io.ReadAll(resp.Body)
+}
+
 // --- store ------------------------------------------------------------
 
 // cmdStore reads the daemon's result-store counters off /metrics and
 // asserts bounds on them. It is the CI hook for the warm-restart gate:
 // "the second pass served everything from disk" becomes
 // `latteclient store -min-hits N -max-fresh 0` instead of fragile greps.
-func cmdStore(args []string) error {
-	fs := flag.NewFlagSet("store", flag.ExitOnError)
+func cmdStore(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("store", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8437", "daemon base URL")
 	minHits := fs.Int64("min-hits", -1, "fail if runs served from the store < N (-1 = no check)")
 	maxFresh := fs.Int64("max-fresh", -1, "fail if fresh simulations > N (-1 = no check)")
 	minCorrupt := fs.Int64("min-corrupt", -1, "fail if corrupt entries discarded < N (-1 = no check)")
-	_ = fs.Parse(args)
-
-	resp, err := client.Get(*addr + "/metrics")
-	if err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("metrics answered %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
+
+	data, err := fetchMetrics(*addr)
 	if err != nil {
 		return err
 	}
@@ -435,14 +445,12 @@ func cmdStore(args []string) error {
 	storeHits := vals["latteccd_simulation_store_hits_total"]
 	fresh := vals["latteccd_simulations_fresh_total"]
 	corrupt := vals["latteccd_store_corrupt_total"]
-	fmt.Printf("store: runs-from-store=%d fresh-sims=%d mem-hits=%d\n",
+	fmt.Fprintf(stdout, "store: runs-from-store=%d fresh-sims=%d mem-hits=%d\n",
 		storeHits, fresh, vals["latteccd_simulation_cache_hits_total"])
-	fmt.Printf("store: disk hits=%d misses=%d corrupt=%d evictions=%d saves=%d entries=%d bytes=%d\n",
+	fmt.Fprintf(stdout, "store: disk hits=%d misses=%d corrupt=%d evictions=%d saves=%d entries=%d bytes=%d\n",
 		vals["latteccd_store_hits_total"], vals["latteccd_store_misses_total"], corrupt,
 		vals["latteccd_store_evictions_total"], vals["latteccd_store_saves_total"],
 		vals["latteccd_store_entries"], vals["latteccd_store_bytes"])
-	fmt.Printf("store: peer hits=%d misses=%d\n",
-		vals["latteccd_store_peer_hits_total"], vals["latteccd_store_peer_misses_total"])
 
 	if *minHits >= 0 && storeHits < *minHits {
 		return fmt.Errorf("runs served from store = %d, want >= %d", storeHits, *minHits)
@@ -456,26 +464,20 @@ func cmdStore(args []string) error {
 	return nil
 }
 
-func cmdMetrics(args []string) error {
-	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8437", "daemon or router base URL")
+func cmdMetrics(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
+	addr := fs.String("addr", "http://127.0.0.1:8437", "daemon base URL")
 	var greps grepList
 	fs.Var(&greps, "grep", "regexp that must match at least one metrics line (repeatable)")
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
-	resp, err := client.Get(*addr + "/metrics")
+	data, err := fetchMetrics(*addr)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("metrics answered %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	os.Stdout.Write(data)
+	stdout.Write(data)
 	lines := strings.Split(string(data), "\n")
 	for _, expr := range greps {
 		re, err := regexp.Compile(expr)

@@ -79,14 +79,13 @@ type StoreKey struct {
 }
 
 // Store is the optional persistence tier below the suite's in-memory
-// single-flight cache (internal/resultstore implements it; the daemon
-// layers cluster peers on top). Run consults it after a cache miss and
-// writes every fresh simulation back through it. Implementations must
-// be safe for concurrent use and must fail closed: Load returns ok only
-// for a result it has verified (StateHash recomputed from the decoded
-// bytes) — a corrupt or truncated entry is a miss, never a wrong
-// result. Errors are not persisted: only successful simulations reach
-// Save.
+// single-flight cache (internal/resultstore implements it). Run
+// consults it after a cache miss and writes every fresh simulation back
+// through it. Implementations must be safe for concurrent use and must
+// fail closed: Load returns ok only for a result it has verified
+// (StateHash recomputed from the decoded bytes) — a corrupt or
+// truncated entry is a miss, never a wrong result. Errors are not
+// persisted: only successful simulations reach Save.
 type Store interface {
 	Load(k StoreKey) (sim.Result, bool)
 	Save(k StoreKey, res sim.Result)
@@ -128,7 +127,7 @@ type Suite struct {
 	// miss and written on every fresh simulate-complete. Like Jobs and
 	// Reporter it is configuration: set before the first Run. Store
 	// calls happen with mu released (single-flight already serializes
-	// per-key access), so a slow disk or peer fetch never blocks other
+	// per-key access), so a slow disk read never blocks other
 	// keys.
 	Store Store
 
@@ -188,7 +187,7 @@ func (s *Suite) Simulations() uint64 { return s.sims.Load() }
 func (s *Suite) CacheHits() uint64 { return s.hits.Load() }
 
 // StoreHits returns how many Run calls were served from the persistent
-// Store tier (validated disk or peer entries) instead of simulating.
+// Store tier (validated disk entries) instead of simulating.
 // Always zero when no Store is configured.
 func (s *Suite) StoreHits() uint64 { return s.storeHits.Load() }
 
@@ -262,9 +261,9 @@ func (s *Suite) Run(workloadName string, p Policy, v Variant) (sim.Result, error
 	s.results[k] = e
 	s.mu.Unlock()
 
-	// Persistence tier: a validated store entry (local disk or a cluster
-	// peer) replaces the simulation entirely — including Kernel-OPT's
-	// static prerequisites, which only a fresh simulate needs.
+	// Persistence tier: a validated store entry replaces the simulation
+	// entirely — including Kernel-OPT's static prerequisites, which only
+	// a fresh simulate needs.
 	if st := s.Store; st != nil {
 		sk := StoreKey{Fingerprint: s.fp, Workload: workloadName, Policy: p, Variant: v}
 		if res, ok := st.Load(sk); ok {

@@ -23,7 +23,6 @@ var randConstructors = map[string]bool{
 // the first step toward request state influencing simulation results.
 var boundaryImports = map[string]string{
 	"lattecc/internal/server":      "the serving daemon sits above the determinism boundary",
-	"lattecc/internal/cluster":     "the cluster router sits above the determinism boundary, one layer above even the daemon",
 	"lattecc/internal/harness":     "orchestration must depend on the model, never the reverse",
 	"lattecc/internal/resultstore": "the persistent result store is an I/O layer above the determinism boundary; disk state must never feed back into the model",
 	"net/http":                     "cycle-level code has no business speaking HTTP",

@@ -32,10 +32,6 @@ import (
 var goroutinePackages = map[string]bool{
 	"lattecc/internal/server":  true,
 	"lattecc/internal/harness": true,
-	// The cluster router (PR 8) spawns a health-probe loop and one
-	// status watcher per in-flight job; drain only terminates if every
-	// one of them has a bounded lifecycle.
-	"lattecc/internal/cluster": true,
 	// The epoch engine's worker pool (PR 7). Concurrency below the
 	// determinism boundary is otherwise banned outright by the
 	// determinism rule; here it is legal but must still be bounded.

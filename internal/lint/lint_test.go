@@ -203,7 +203,6 @@ func TestDeterminismBoundaryImports(t *testing.T) {
 	got := checkDeterminism(p)
 	want := []string{
 		"net/http",
-		"lattecc/internal/cluster",
 		"lattecc/internal/harness",
 		"lattecc/internal/resultstore",
 		"lattecc/internal/server",
@@ -239,7 +238,6 @@ func TestDeterminismBoundaryImports(t *testing.T) {
 func TestOracleDeterminismOnlyExemption(t *testing.T) {
 	wantBoundary := []string{
 		"net/http",
-		"lattecc/internal/cluster",
 		"lattecc/internal/harness",
 		"lattecc/internal/resultstore",
 		"lattecc/internal/server",

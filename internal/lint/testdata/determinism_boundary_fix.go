@@ -8,7 +8,6 @@ package fixture
 import (
 	"net/http"
 
-	"lattecc/internal/cluster"
 	"lattecc/internal/harness"
 	"lattecc/internal/resultstore"
 	"lattecc/internal/server"
@@ -18,7 +17,6 @@ import (
 // a future type-checking loader.
 func touch() {
 	_ = http.MethodGet
-	_ = cluster.Config{}
 	_ = harness.RunRequest{}
 	_ = resultstore.Options{}
 	_ = server.Config{}

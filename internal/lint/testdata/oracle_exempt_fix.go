@@ -10,7 +10,6 @@ package fixture
 import (
 	_ "net/http"
 
-	_ "lattecc/internal/cluster"
 	_ "lattecc/internal/harness"
 	_ "lattecc/internal/resultstore"
 	_ "lattecc/internal/server"

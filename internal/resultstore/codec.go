@@ -1,8 +1,7 @@
 // Package resultstore is the persistent tier below the harness's
 // in-memory single-flight run cache: an on-disk store of serialized
 // sim.Results keyed by (machine fingerprint, workload, policy, variant),
-// with size-bounded LRU spill, a warm-start directory scan at open, and
-// raw-entry access for the cluster's cache-peer protocol.
+// with size-bounded LRU spill and a warm-start directory scan at open.
 //
 // The store's one hard contract is fail-closed validation: every entry
 // carries the StateHash of the result it was encoded from plus a
@@ -61,8 +60,7 @@ func corruptf(format string, args ...any) error {
 }
 
 // KeyHash folds a store key into the 64-bit value used as the entry's
-// filename (and the /v1/results/{key} path segment in the cache-peer
-// protocol). Decode re-checks the full key fields, so a hash collision
+// filename. Decode re-checks the full key fields, so a hash collision
 // degrades to a miss, not a wrong result.
 func KeyHash(k harness.StoreKey) uint64 {
 	h := invariant.NewHash()
@@ -74,8 +72,8 @@ func KeyHash(k harness.StoreKey) uint64 {
 	return h.Sum()
 }
 
-// KeyHex renders KeyHash the way entries are named on disk and
-// addressed between peers: fixed-width lowercase hex.
+// KeyHex renders KeyHash the way entries are named on disk:
+// fixed-width lowercase hex.
 func KeyHex(k harness.StoreKey) string { return fmt.Sprintf("%016x", KeyHash(k)) }
 
 func variantFlags(v harness.Variant) byte {

@@ -278,55 +278,6 @@ func TestKeyMismatchFailsClosed(t *testing.T) {
 	}
 }
 
-func TestPutRawGetRaw(t *testing.T) {
-	k := testKey("SS")
-	res := testResult("SS")
-	stA, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stA.Save(k, res)
-
-	raw, ok := stA.GetRaw(KeyHex(k))
-	if !ok {
-		t.Fatal("GetRaw must serve a saved entry")
-	}
-	if _, ok := stA.GetRaw("0123456789abcdef"); ok {
-		t.Fatal("GetRaw of an absent key must miss")
-	}
-	if _, ok := stA.GetRaw("../../../etc/passwd"); ok {
-		t.Fatal("GetRaw must reject non-keyhex names")
-	}
-
-	// The peer side: PutRaw validates and stores, then serves via Load.
-	stB, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stB.PutRaw(k, raw); err != nil {
-		t.Fatalf("PutRaw of a valid entry: %v", err)
-	}
-	got, ok := stB.Load(k)
-	if !ok || got.StateHash() != res.StateHash() {
-		t.Fatalf("peer-installed entry must load with the same hash (ok=%v)", ok)
-	}
-
-	// A corrupted peer payload must be rejected before touching disk.
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)/2] ^= 0xFF
-	if err := stB.PutRaw(k, bad); err == nil {
-		t.Fatal("PutRaw must reject corrupt bytes")
-	}
-	// And a valid payload for the wrong key must be rejected too.
-	other := Encode(testKey("ZZ"), testResult("ZZ"))
-	if err := stB.PutRaw(k, other); err == nil {
-		t.Fatal("PutRaw must reject a mismatched key")
-	}
-	if c := stB.Counters(); c.Corrupt != 2 {
-		t.Fatalf("rejected PutRaws must count corrupt: %+v", c)
-	}
-}
-
 func TestConcurrentSaveLoad(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{MaxBytes: 1 << 20})
 	if err != nil {

@@ -33,7 +33,7 @@ type Counters struct {
 	Misses    uint64 // Loads with no entry on disk
 	Corrupt   uint64 // entries discarded by validation (also counted nowhere else)
 	Evictions uint64 // entries deleted by the LRU size bound
-	Saves     uint64 // entries written (Save and validated PutRaw)
+	Saves     uint64 // entries written by Save
 	Entries   int    // entries currently indexed
 	Bytes     int64  // total size of indexed entries
 }
@@ -194,53 +194,10 @@ func (s *Store) Save(k harness.StoreKey, res sim.Result) {
 	_ = s.put(KeyHex(k), Encode(k, res))
 }
 
-// PutRaw persists an entry fetched from a cluster peer. The bytes are
-// validated exactly as Load would (decode, checksum, StateHash, key
-// match) before touching disk, so a malicious or corrupt peer cannot
-// poison the local store.
-func (s *Store) PutRaw(k harness.StoreKey, raw []byte) error {
-	dk, _, err := Decode(raw)
-	if err != nil {
-		s.corrupt.Add(1)
-		return err
-	}
-	if dk != k {
-		s.corrupt.Add(1)
-		return corruptf("peer entry is for a different key")
-	}
-	return s.put(KeyHex(k), raw)
-}
-
-// GetRaw returns the raw bytes of an entry by its hex key — the server
-// side of the cache-peer protocol. The bytes are served as-is; the
-// requesting peer validates before use (and PutRaw validates before
-// storing), so no trust is required between peers.
-func (s *Store) GetRaw(keyHex string) ([]byte, bool) {
-	if !validKeyHex(keyHex) {
-		return nil, false
-	}
-	s.mu.Lock()
-	m, ok := s.entries[keyHex]
-	if ok {
-		s.clock++
-		m.lastUse = s.clock
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	raw, err := os.ReadFile(s.path(keyHex))
-	if err != nil {
-		return nil, false
-	}
-	return raw, true
-}
-
 func (s *Store) path(name string) string { return filepath.Join(s.dir, name+suffix) }
 
 // validKeyHex reports whether name is exactly the 16 lowercase hex
 // digits KeyHex produces — the only names the store will index or serve
-// (this is also what keeps peer-requested paths inside the directory).
 func validKeyHex(name string) bool {
 	if len(name) != 16 {
 		return false

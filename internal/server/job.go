@@ -229,24 +229,13 @@ type SubmitRequest struct {
 }
 
 // SubmitResponse acknowledges an admitted job. Fingerprint is the
-// machine-config fingerprint the job's suite is keyed on — the same key
-// the cluster router consistent-hashes for fingerprint-affinity
-// placement, exposed so routing decisions are auditable end to end.
+// machine-config fingerprint the job's suite is keyed on, the same key
+// the persistent result store files the job's entries under.
 type SubmitResponse struct {
 	ID          string `json:"id"`
 	Status      string `json:"status"`
 	Runs        int    `json:"runs"`
 	Fingerprint string `json:"fingerprint,omitempty"`
-}
-
-// LoadStatus is the GET /v1/load response: the admission-queue and
-// worker-pool occupancy the cluster router's health checker polls, and
-// the least-loaded routing policy weighs.
-type LoadStatus struct {
-	Queued        int64 `json:"queued"`
-	Running       int64 `json:"running"`
-	QueueCapacity int64 `json:"queue_capacity"`
-	Draining      bool  `json:"draining"`
 }
 
 // RunResult is one completed run in a job's result set.
@@ -269,9 +258,8 @@ type RunResult struct {
 	DurationMS float64 `json:"duration_ms"`
 }
 
-// JobStatus renders a job's externally visible state. Fingerprint lets
-// the cluster router verify that a worker's resident suite matches the
-// affinity key it routed on.
+// JobStatus renders a job's externally visible state, including the
+// fingerprint of the machine config its suite is keyed on.
 type JobStatus struct {
 	ID          string      `json:"id"`
 	Status      string      `json:"status"`
@@ -302,9 +290,6 @@ type ConfigOverrides struct {
 }
 
 // Apply copies cfg, overlays the present overrides, and validates them.
-// Exported for the cluster router, which applies a submission's
-// overrides to its own base config to compute the affinity fingerprint
-// without owning a suite.
 func (o *ConfigOverrides) Apply(cfg sim.Config) (sim.Config, error) {
 	if o == nil {
 		return cfg, nil
@@ -358,15 +343,3 @@ func (o *ConfigOverrides) Apply(cfg sim.Config) (sim.Config, error) {
 	}
 	return cfg, nil
 }
-
-// fingerprint keys resident suites by machine. The fold itself lives on
-// sim.Config.Fingerprint so the harness's persistent result store keys
-// entries with the exact value the daemon files suites under (and the
-// router hashes for affinity routing).
-// FingerprintConfig exposes the fingerprint to the cluster router: the
-// router hashes the same key the worker will file the job's suite
-// under, which is what makes fingerprint-affinity routing line up with
-// worker-side cache residency.
-func FingerprintConfig(cfg sim.Config) uint64 { return fingerprint(cfg) }
-
-func fingerprint(cfg sim.Config) uint64 { return cfg.Fingerprint() }

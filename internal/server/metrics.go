@@ -84,10 +84,8 @@ type metricsSnapshot struct {
 	// Persistent-store activity; rendered only when a store is
 	// configured (hasStore), so memory-only daemons scrape identically
 	// to pre-store builds.
-	hasStore   bool
-	store      resultstore.Counters
-	peerHits   uint64
-	peerMisses uint64
+	hasStore bool
+	store    resultstore.Counters
 }
 
 // write renders the registry in Prometheus text format. Workloads are
@@ -134,8 +132,6 @@ func (m *metrics) write(w io.Writer, snap metricsSnapshot) {
 		counter("latteccd_store_saves_total", "Entries written to disk.", snap.store.Saves)
 		gauge("latteccd_store_entries", "Entries currently indexed by the store.", int64(snap.store.Entries))
 		gauge("latteccd_store_bytes", "Total bytes of indexed store entries.", snap.store.Bytes)
-		counter("latteccd_store_peer_hits_total", "Local store misses rescued by a cluster peer's entry.", snap.peerHits)
-		counter("latteccd_store_peer_misses_total", "Local store misses no cluster peer could serve.", snap.peerMisses)
 	}
 
 	// Snapshot the histograms under mu, render outside: mu is nocalls,

@@ -54,13 +54,8 @@ type Config struct {
 
 	// Store, when non-nil, is the persistent result tier attached to
 	// every resident suite: consulted on cache miss, written on every
-	// fresh simulate-complete, served to cluster peers via
-	// GET /v1/results/{key}, and surfaced on /metrics.
+	// fresh simulate-complete, and surfaced on /metrics.
 	Store *resultstore.Store
-	// Peers, when non-nil (and Store is set), lists the base URLs of
-	// cluster peers whose stores are consulted on a local store miss —
-	// the cache-peer protocol. Typically RouterPeers(join, advertise).
-	Peers func() []string
 
 	// startHook, when set (tests only), runs at the top of every job
 	// execution — the seam that lets tests hold a worker in place.
@@ -74,9 +69,6 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	metrics *metrics
-	// store is the disk+peer tier installed on every resident suite;
-	// nil when the daemon runs memory-only (no -store flag).
-	store *tieredStore
 
 	mu        sync.Mutex
 	suites    map[uint64]*harness.Suite
@@ -87,7 +79,6 @@ type Server struct {
 
 	queue    chan *Job
 	drainCh  chan struct{}
-	running  atomic.Int64
 	draining atomic.Bool
 	admit    sync.RWMutex // write-held by Shutdown to fence admission
 	nextID   atomic.Uint64
@@ -127,15 +118,10 @@ func New(cfg Config) *Server {
 	for _, p := range harness.Policies() {
 		s.policies[p] = true
 	}
-	if cfg.Store != nil {
-		s.store = newTieredStore(cfg.Store, cfg.Peers)
-	}
 
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/load", s.handleLoad)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -210,8 +196,6 @@ func (s *Server) worker() {
 // batch through the harness pool under the job's deadline, then collect
 // results serially from the cache.
 func (s *Server) execute(j *Job) {
-	s.running.Add(1)
-	defer s.running.Add(-1)
 	if h := s.cfg.startHook; h != nil {
 		h(j)
 	}
@@ -287,7 +271,7 @@ func variantSpec(v harness.Variant) VariantSpec {
 // suiteFor returns the resident suite for cfg, creating it (with the
 // server's fan-out reporter attached) on first use.
 func (s *Server) suiteFor(cfg sim.Config) (*harness.Suite, uint64) {
-	fp := fingerprint(cfg)
+	fp := cfg.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, ok := s.suites[fp]; ok {
@@ -296,10 +280,10 @@ func (s *Server) suiteFor(cfg sim.Config) (*harness.Suite, uint64) {
 	st := harness.NewSuite(cfg)
 	st.Jobs = s.cfg.RunJobs
 	st.Reporter = &suiteReporter{srv: s, fp: fp}
-	if s.store != nil {
-		// Guarded assignment: a nil *tieredStore inside a non-nil
+	if s.cfg.Store != nil {
+		// Guarded assignment: a nil *resultstore.Store inside a non-nil
 		// harness.Store interface would defeat the suite's nil check.
-		st.Store = s.store
+		st.Store = s.cfg.Store
 	}
 	s.suites[fp] = st
 	return st, fp
@@ -509,18 +493,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleLoad answers the cluster router's health/load probe: how much
-// work this worker holds and whether it is draining. Cheap by design —
-// the router polls it once per health interval per worker.
-func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, LoadStatus{
-		Queued:        int64(len(s.queue)),
-		Running:       s.running.Load(),
-		QueueCapacity: int64(cap(s.queue)),
-		Draining:      s.draining.Load(),
-	})
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := metricsSnapshot{
 		queueDepth: len(s.queue),
@@ -534,11 +506,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		snap.storeHits += st.StoreHits()
 	}
 	s.mu.Unlock()
-	if s.store != nil {
+	if s.cfg.Store != nil {
 		snap.hasStore = true
-		snap.store = s.store.disk.Counters()
-		snap.peerHits = s.store.peerHits.Load()
-		snap.peerMisses = s.store.peerMisses.Load()
+		snap.store = s.cfg.Store.Counters()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.write(w, snap)

@@ -504,24 +504,24 @@ func TestValidation(t *testing.T) {
 // to one suite, any material override keys a new one.
 func TestFingerprint(t *testing.T) {
 	base := tinyConfig()
-	if fingerprint(base) != fingerprint(tinyConfig()) {
+	if base.Fingerprint() != tinyConfig().Fingerprint() {
 		t.Error("identical configs must share a fingerprint")
 	}
 	mut := base
 	mut.MSHRs++
-	if fingerprint(mut) == fingerprint(base) {
+	if mut.Fingerprint() == base.Fingerprint() {
 		t.Error("changed MSHRs must change the fingerprint")
 	}
 	mut = base
 	mut.Cache.SizeBytes *= 2
-	if fingerprint(mut) == fingerprint(base) {
+	if mut.Fingerprint() == base.Fingerprint() {
 		t.Error("changed L1 size must change the fingerprint")
 	}
 	// SMJobs only changes how fast a result is computed, never the
 	// result: suites must be shared across sm_jobs overrides.
 	mut = base
 	mut.SMJobs = 8
-	if fingerprint(mut) != fingerprint(base) {
+	if mut.Fingerprint() != base.Fingerprint() {
 		t.Error("SMJobs must not key a new suite; results are worker-count-invariant")
 	}
 }

@@ -1,11 +1,8 @@
 package server
 
 import (
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"lattecc/internal/resultstore"
@@ -88,90 +85,6 @@ func TestDaemonCorruptEntryResimulates(t *testing.T) {
 	}
 	if c := s2.cfg.Store.Counters(); c.Corrupt != 1 {
 		t.Fatalf("corrupt counter: %+v", c)
-	}
-}
-
-// TestCachePeerProtocol stands up two stored daemons and points B's peer
-// source at A: a batch A has already computed must be served on B
-// entirely by peer fetches — zero fresh simulations on B — and the
-// fetched entries must land in B's own store.
-func TestCachePeerProtocol(t *testing.T) {
-	_, tsA := newTestServer(t, Config{Store: openStore(t, t.TempDir())})
-	gold := waitJob(t, tsA.URL, submit(t, tsA.URL, storeBatch()).ID)
-
-	dirB := t.TempDir()
-	sB, tsB := newTestServer(t, Config{
-		Store: openStore(t, dirB),
-		Peers: func() []string { return []string{tsA.URL} },
-	})
-	got := waitJob(t, tsB.URL, submit(t, tsB.URL, storeBatch()).ID)
-	for i := range gold.Results {
-		if gold.Results[i].StateHash != got.Results[i].StateHash {
-			t.Fatalf("run %d: peer-served hash %s != computed %s",
-				i, got.Results[i].StateHash, gold.Results[i].StateHash)
-		}
-	}
-	if c := suiteCounters(sB); c.fresh != 0 || c.store != 3 {
-		t.Fatalf("B must simulate nothing: %+v", c)
-	}
-	if h := sB.store.peerHits.Load(); h != 3 {
-		t.Fatalf("peer hits = %d, want 3", h)
-	}
-	// Write-through: B now owns the entries and can serve them (or a
-	// restart) without A.
-	if c := sB.cfg.Store.Counters(); c.Entries != 3 || c.Saves != 3 {
-		t.Fatalf("peer entries must persist locally: %+v", c)
-	}
-}
-
-// TestResultsEndpoint exercises the serving side directly: raw bytes for
-// a present key, 404 otherwise, 404s on traversal attempts, and 404 on
-// a storeless daemon.
-func TestResultsEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{Store: openStore(t, dir)})
-	waitJob(t, ts.URL, submit(t, ts.URL, SubmitRequest{Workload: "SS", Policy: "Uncompressed"}).ID)
-
-	ents, _ := filepath.Glob(filepath.Join(dir, "*.lcr"))
-	if len(ents) != 1 {
-		t.Fatalf("want 1 entry, got %v", ents)
-	}
-	keyx := strings.TrimSuffix(filepath.Base(ents[0]), ".lcr")
-
-	resp, err := http.Get(ts.URL + "/v1/results/" + keyx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("present key: status %d", resp.StatusCode)
-	}
-	if _, _, err := resultstore.Decode(raw); err != nil {
-		t.Fatalf("served entry must validate: %v", err)
-	}
-
-	for _, bad := range []string{"0000000000000000", "..%2f..%2fetc%2fpasswd", "nothex"} {
-		resp, err := http.Get(ts.URL + "/v1/results/" + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("key %q: status %d, want 404", bad, resp.StatusCode)
-		}
-	}
-
-	_, tsNoStore := newTestServer(t, Config{})
-	resp2, err := http.Get(tsNoStore.URL + "/v1/results/" + keyx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("storeless daemon: status %d, want 404", resp2.StatusCode)
 	}
 }
 

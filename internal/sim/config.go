@@ -133,9 +133,9 @@ func (c Config) Validate() {
 
 // Fingerprint folds the scalar machine parameters of the config into one
 // key: every run that resolves to the same machine shares the same
-// fingerprint. It keys resident daemon suites, fingerprint-affinity
-// routing in the cluster, and persistent result-store entries — the
-// three layers must agree on the key, which is why the fold lives here.
+// fingerprint. It keys resident daemon suites and persistent
+// result-store entries — the two layers must agree on the key, which is
+// why the fold lives here.
 // Codec wiring and trace hooks are runtime wiring, deliberately not part
 // of the key. SMJobs is likewise excluded: the epoch engine makes
 // results bit-identical across worker counts, so cached results are
