@@ -144,13 +144,12 @@ func TestGoroutineHygieneFixture(t *testing.T) {
 	}
 }
 
-// TestGoroutineHygieneScope: the same spawns outside server/harness/sim
-// are out of scope. (internal/sim joined the policed set with PR 7's
-// epoch engine — see TestGoroutineHygieneCoversSim.)
+// TestGoroutineHygieneScope: the same spawns outside
+// server/harness/resultstore are out of scope.
 func TestGoroutineHygieneScope(t *testing.T) {
 	p := loadFixture(t, "goroutine_fix.go", "lattecc/cmd/sweep", "")
 	if got := ruleFindings(p, "goroutine-hygiene"); len(got) != 0 {
-		t.Fatalf("goroutine-hygiene must only police server/harness/sim, got:\n%s", renderAll(got))
+		t.Fatalf("goroutine-hygiene must only police server/harness/resultstore, got:\n%s", renderAll(got))
 	}
 }
 

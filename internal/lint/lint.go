@@ -103,7 +103,7 @@ func Rules() []Rule {
 		},
 		{
 			Name:  "goroutine-hygiene",
-			Doc:   "go statements in server/harness/sim have bounded lifecycles; context cancels are not dropped",
+			Doc:   "go statements in server/harness/resultstore have bounded lifecycles; context cancels are not dropped",
 			Check: checkGoroutineHygiene,
 		},
 		{

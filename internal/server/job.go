@@ -118,20 +118,27 @@ func (j *Job) setRunning() {
 
 // complete finishes the job with its results.
 func (j *Job) complete(results []RunResult) {
-	j.mu.Lock()
-	j.state = stateDone
-	j.results = results
-	j.mu.Unlock()
-	j.appendEvent(Event{Type: "done", Data: map[string]any{"id": j.id, "runs": len(results)}})
+	j.finish(stateDone, results, "", Event{Type: "done", Data: map[string]any{"id": j.id, "runs": len(results)}})
 }
 
 // fail finishes the job with an error.
 func (j *Job) fail(msg string) {
+	j.finish(stateFailed, nil, msg, Event{Type: "failed", Data: map[string]any{"id": j.id, "error": msg}})
+}
+
+// finish moves the job to a terminal state and appends the event that
+// announces it in one critical section. handleEvents stops streaming as
+// soon as a snapshot shows a terminal state, so that snapshot must
+// already hold the terminal event. Callers must NOT hold j.mu.
+func (j *Job) finish(state jobState, results []RunResult, errMsg string, ev Event) {
 	j.mu.Lock()
-	j.state = stateFailed
-	j.errMsg = msg
+	j.state = state
+	j.results = results
+	j.errMsg = errMsg
+	j.events = append(j.events, ev)
+	close(j.notify)
+	j.notify = make(chan struct{})
 	j.mu.Unlock()
-	j.appendEvent(Event{Type: "failed", Data: map[string]any{"id": j.id, "error": msg}})
 }
 
 // noteFresh records a reporter event for one of this job's runs and
@@ -282,11 +289,6 @@ type ConfigOverrides struct {
 	WriteThroughL1  *bool   `json:"write_through_l1,omitempty"`
 	MaxInstructions *uint64 `json:"max_instructions,omitempty"`
 	MaxCycles       *uint64 `json:"max_cycles,omitempty"`
-	// SMJobs tunes intra-simulation parallelism only; results are
-	// bit-identical for any value, so it does NOT enter the suite
-	// fingerprint (a cached result computed at one width answers
-	// requests at any other).
-	SMJobs *int `json:"sm_jobs,omitempty"`
 }
 
 // Apply copies cfg, overlays the present overrides, and validates them.
@@ -330,12 +332,6 @@ func (o *ConfigOverrides) Apply(cfg sim.Config) (sim.Config, error) {
 	}
 	if o.WriteThroughL1 != nil {
 		cfg.WriteThroughL1 = *o.WriteThroughL1
-	}
-	if o.SMJobs != nil {
-		if *o.SMJobs < 0 {
-			return sim.Config{}, fmt.Errorf("config override sm_jobs must be >= 0, got %d", *o.SMJobs)
-		}
-		cfg.SMJobs = *o.SMJobs
 	}
 	if cfg.Cache.SizeBytes < cfg.Cache.LineSize*cfg.Cache.Ways {
 		return sim.Config{}, fmt.Errorf("config override l1_size_bytes %d is below one set (%d)",

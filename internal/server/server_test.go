@@ -440,6 +440,56 @@ func TestSSEEvents(t *testing.T) {
 	}
 }
 
+// TestSSETerminalStateHasTerminalEvent races snapshots against a job
+// finishing. handleEvents stops streaming at the first snapshot with a
+// terminal state, so that snapshot's log must already end in the done or
+// failed frame; otherwise the stream closes without it.
+func TestSSETerminalStateHasTerminalEvent(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		j := newJob(fmt.Sprintf("job-%d", i), nil, nil, 0, time.Minute)
+		j.setRunning()
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			if i%2 == 0 {
+				j.complete(nil)
+			} else {
+				j.fail("boom")
+			}
+		}()
+		for {
+			events, state, _ := j.snapshot()
+			if state != stateDone && state != stateFailed {
+				continue
+			}
+			if last := events[len(events)-1].Type; last != string(state) {
+				t.Fatalf("job %d: snapshot state %s, last event %q", i, state, last)
+			}
+			break
+		}
+		<-finished
+	}
+}
+
+// TestRemovedOverrideRejected: the sm_jobs override is gone, and the
+// strict decoder answers a body that still carries it with 400.
+func TestRemovedOverrideRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := `{"workload":"BO","policy":"Uncompressed","config":{"sm_jobs":2}}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "sm_jobs") {
+		t.Errorf("sm_jobs override: status %d, body %s", resp.StatusCode, msg)
+	}
+	if got := s.metrics.rejectedInvalid.Load(); got != 1 {
+		t.Errorf("rejectedInvalid = %d, want 1", got)
+	}
+}
+
 // TestValidation covers the 400/404 surface and a deadline failure.
 func TestValidation(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
@@ -517,13 +567,6 @@ func TestFingerprint(t *testing.T) {
 	if mut.Fingerprint() == base.Fingerprint() {
 		t.Error("changed L1 size must change the fingerprint")
 	}
-	// SMJobs only changes how fast a result is computed, never the
-	// result: suites must be shared across sm_jobs overrides.
-	mut = base
-	mut.SMJobs = 8
-	if mut.Fingerprint() != base.Fingerprint() {
-		t.Error("SMJobs must not key a new suite; results are worker-count-invariant")
-	}
 }
 
 // TestOverrideApply covers the validation corners of ConfigOverrides.
@@ -547,13 +590,6 @@ func TestOverrideApply(t *testing.T) {
 	tooSmall := base.Cache.LineSize // one line < one set
 	if _, err := (&ConfigOverrides{L1SizeBytes: &tooSmall}).Apply(base); err == nil {
 		t.Error("sub-set l1_size_bytes must be rejected")
-	}
-	if _, err := (&ConfigOverrides{SMJobs: &bad}).Apply(base); err == nil {
-		t.Error("negative sm_jobs must be rejected")
-	}
-	serialJobs := 0 // 0 is legal for sm_jobs (= serial), unlike the >= 1 fields
-	if got, err := (&ConfigOverrides{SMJobs: &serialJobs}).Apply(base); err != nil || got.SMJobs != 0 {
-		t.Errorf("sm_jobs 0 must be accepted as serial, got %d err %v", got.SMJobs, err)
 	}
 
 	n := 4

@@ -62,9 +62,7 @@ func BenchmarkSchedule(b *testing.B) {
 			}
 			now := uint64(0)
 			cycle := func() {
-				m.tickCompute(now)
-				s.arb.Drain(now)
-				m.commit(now)
+				m.tick(now)
 				now++
 			}
 			for i := 0; i < 20000; i++ { // reach steady state

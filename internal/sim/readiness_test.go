@@ -228,6 +228,67 @@ func TestDivergentRetireReleasesBarrier(t *testing.T) {
 	}
 }
 
+// parityWL is a multi-kernel test workload (testWorkload is single-kernel).
+type parityWL struct {
+	name    string
+	kernels []trace.Kernel
+}
+
+func (w parityWL) Name() string            { return w.name }
+func (parityWL) Category() trace.Category  { return trace.CSens }
+func (w parityWL) Kernels() []trace.Kernel { return w.kernels }
+func (parityWL) Data() trace.DataSource    { return testData{} }
+
+// parityWorkload is larger and more irregular than the other test
+// workloads: two kernels, mixed phases, stores, barriers, divergence,
+// and enough warps that SMs interleave through the LSU, the MSHRs, and
+// the shared L2 banks.
+func parityWorkload() trace.Workload {
+	kernelA := trace.Kernel{
+		Name:          "parity-a",
+		Blocks:        12,
+		WarpsPerBlock: 4,
+		Program: func(block, warp int) trace.Program {
+			insts := make([]trace.Inst, 0, 260)
+			base := uint64(block*4+warp) * 37
+			for i := 0; i < 60; i++ {
+				line := (base + uint64(i)*7) % 2048
+				insts = append(insts, trace.Inst{Op: trace.OpLoad, Addrs: []uint64{line * 128}})
+				insts = append(insts, trace.Inst{Op: trace.OpALU, Lat: uint32(1 + i%5)})
+				if i%9 == 0 {
+					insts = append(insts, trace.Inst{Op: trace.OpStore, Addrs: []uint64{(line + 4096) * 128}})
+				}
+				if i%20 == 19 {
+					insts = append(insts, trace.Inst{Op: trace.OpBarrier})
+				}
+			}
+			return trace.NewSliceProgram(insts)
+		},
+	}
+	kernelB := trace.Kernel{
+		Name:          "parity-b",
+		Blocks:        8,
+		WarpsPerBlock: 6,
+		Program: func(block, warp int) trace.Program {
+			insts := make([]trace.Inst, 0, 200)
+			seed := uint64(block*6 + warp)
+			for i := 0; i < 40; i++ {
+				// Divergent loads: up to 4 distinct lines per instruction.
+				n := 1 + int((seed+uint64(i))%4)
+				addrs := make([]uint64, 0, n)
+				for j := 0; j < n; j++ {
+					line := (seed*131 + uint64(i)*17 + uint64(j)*911) % 4096
+					addrs = append(addrs, line*128)
+				}
+				insts = append(insts, trace.Inst{Op: trace.OpLoad, Addrs: addrs})
+				insts = append(insts, trace.Inst{Op: trace.OpALU, Lat: 2})
+			}
+			return trace.NewSliceProgram(insts)
+		},
+	}
+	return parityWL{name: "parity", kernels: []trace.Kernel{kernelA, kernelB}}
+}
+
 // TestCompactionKeepsReadiness runs multi-block and multi-kernel work
 // under both schedulers with the cross-checks on: blocks drain and
 // compact mid-kernel, every kernel boundary compacts, and afterwards the
@@ -255,10 +316,9 @@ func TestCompactionKeepsReadiness(t *testing.T) {
 
 // TestMultiwordScheduler: 160 warps per SM puts more than 64 warps on a
 // scheduler, so the bitsets span words. The run must pass the
-// cross-checks and give the same StateHash serial and with SMJobs=2.
+// cross-checks and give the same StateHash when run twice.
 func TestMultiwordScheduler(t *testing.T) {
 	paranoid(t)
-	withRealParallelism(t, 2)
 	w := testWorkload{name: "wide", blocks: 40, warps: 16, iters: 40, alu: 3, wsLines: 8, spread: 8}
 	for _, kind := range []SchedulerKind{SchedGTO, SchedRR} {
 		cfg := smallConfig()
@@ -276,17 +336,15 @@ func TestMultiwordScheduler(t *testing.T) {
 		}
 
 		var hashes [2]uint64
-		for i, jobs := range []int{1, 2} {
-			c := cfg
-			c.SMJobs = jobs
-			res := New(c, w, latteFactory).Run()
+		for i := range hashes {
+			res := New(cfg, w, latteFactory).Run()
 			if want := uint64(40 * 16 * 40 * 4); res.Instructions != want {
-				t.Fatalf("%v jobs=%d: instructions %d, want %d", kind, jobs, res.Instructions, want)
+				t.Fatalf("%v run %d: instructions %d, want %d", kind, i, res.Instructions, want)
 			}
 			hashes[i] = res.StateHash()
 		}
 		if hashes[0] != hashes[1] {
-			t.Fatalf("%v: StateHash(SMJobs=2) %#x != StateHash(SMJobs=1) %#x", kind, hashes[1], hashes[0])
+			t.Fatalf("%v: StateHash %#x on the second run, %#x on the first", kind, hashes[1], hashes[0])
 		}
 	}
 }

@@ -146,7 +146,6 @@ func (r Result) StateHash() uint64 {
 type Sim struct {
 	cfg  Config
 	mem  *mem.System
-	arb  *mem.Arbiter
 	sms  []*sm
 	work trace.Workload
 }
@@ -156,31 +155,24 @@ type Sim struct {
 // does).
 func New(cfg Config, work trace.Workload, factory ControllerFactory) *Sim {
 	cfg.Validate()
-	m := mem.New(cfg.Mem)
-	s := &Sim{cfg: cfg, mem: m, work: work}
+	s := &Sim{cfg: cfg, mem: mem.New(cfg.Mem), work: work}
 	numSets := cfg.Cache.SizeBytes / (cfg.Cache.LineSize * cfg.Cache.Ways)
 	data := work.Data()
-	ports := make([]*mem.Port, cfg.NumSMs)
 	for i := 0; i < cfg.NumSMs; i++ {
 		cacheCfg := cfg.Cache
 		cacheCfg.Codecs = cfg.freshCodecs()
 		ctrl := factory(numSets)
-		ports[i] = mem.NewPort(cfg.L1Ports)
-		s.sms = append(s.sms, newSM(i, &s.cfg, ctrl, cacheCfg, ports[i], data))
+		s.sms = append(s.sms, newSM(i, &s.cfg, ctrl, cacheCfg, s.mem, data))
 	}
-	s.arb = mem.NewArbiter(m, ports)
 	return s
 }
 
 // Run executes every kernel of the workload and returns the result.
 //
-// Each cycle is a two-phase epoch (DESIGN.md §12). Phase A ticks every
-// SM against only its own state — in parallel across effectiveSMJobs
-// workers when Config.SMJobs > 1 — with memory traffic queued on per-SM
-// ports. Phase B, at the barrier, drains the ports through the arbiter
-// in (SM id, issue order) and commits each SM in id order; the budget,
-// sampling, dispatch, and liveness checks all run here, where every SM's
-// state is settled. The result is bit-identical for any worker count.
+// Each cycle ticks every SM in id order, so the shared memory system
+// sees reads and writes in (SM id, issue order). After the SMs, the
+// budget, sampling, dispatch, and liveness checks run against settled
+// state.
 func (s *Sim) Run() Result {
 	res := Result{
 		Workload: s.work.Name(),
@@ -189,12 +181,6 @@ func (s *Sim) Run() Result {
 	if s.cfg.SampleEvery > 0 {
 		res.ToleranceSeries = stats.NewSeries("tolerance", 4096)
 		res.CapacitySeries = stats.NewSeries("effective-capacity", 4096)
-	}
-
-	var pool *smPool
-	if jobs := s.cfg.effectiveSMJobs(); jobs > 1 {
-		pool = newSMPool(s.sms, jobs)
-		defer pool.close()
 	}
 
 	now := uint64(0)
@@ -235,26 +221,13 @@ func (s *Sim) Run() Result {
 		dispatch()
 
 		for {
-			// Phase A: parallel compute against SM-private state.
-			if pool != nil {
-				pool.epoch(now)
-			} else {
-				for _, m := range s.sms {
-					m.tickCompute(now)
-				}
-			}
-			// Phase B: serial merge at the barrier.
-			s.arb.Drain(now)
 			busy := false
-			var cycleInsts uint64
 			for _, m := range s.sms {
-				m.commit(now)
-				cycleInsts += m.cycleInsts
+				totalInsts += m.tick(now)
 				if m.busy() {
 					busy = true
 				}
 			}
-			totalInsts += cycleInsts
 			now++
 
 			if nextBlock < k.Blocks {
@@ -285,7 +258,7 @@ func (s *Sim) Run() Result {
 			// LSU is drained and nothing — fill arrival, warp wake-up,
 			// tolerance-window boundary, sample point, cycle guard — can
 			// happen before cycle `next`, the intervening cycles are
-			// no-ops in every SM, the arbiter (empty ports), and the
+			// no-ops in every SM, the memory system (no requests), and the
 			// dispatcher (block slots only free on a retire, which needs
 			// a ready warp). Jumping `now` there is therefore invisible
 			// to every counter, the trace stream, and StateHash; it only

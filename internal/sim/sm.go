@@ -65,12 +65,8 @@ type memReq struct {
 	addrs    []uint64 // aliases buf except for >32-way requests
 	next     int
 	readyMax uint64
-	// pending counts port loads issued on behalf of this request whose
-	// fill time the arbiter has not resolved yet. A fully drained request
-	// with pending > 0 parks on the deferred list until the epoch commit.
-	pending int
-	isStore bool
-	buf     [memReqAddrCap]uint64
+	isStore  bool
+	buf      [memReqAddrCap]uint64
 }
 
 // fillEvent is a pending L1 fill (miss response).
@@ -125,32 +121,10 @@ func (h *fillHeap) pop() fillEvent {
 	return top
 }
 
-// mshrEntry is one outstanding L1 miss. While the epoch's port is still
-// undrained the fill time is unknown and the entry is pending, pointing
-// at the pendingLoad that will resolve it at the barrier.
+// mshrEntry is one outstanding L1 miss and the cycle its fill arrives.
 type mshrEntry struct {
 	lineAddr uint64
-	fillAt   uint64 // valid once pending is false
-	pending  bool
-	pendIdx  int32 // index into sm.pend while pending
-}
-
-// pendingLoad tracks one port load issued this cycle: which port slot
-// holds its arbiter-assigned fill time, which MSHR it fills, and the LSU
-// requests waiting on it.
-type pendingLoad struct {
-	portIdx  int
-	mshrIdx  int
-	lineAddr uint64
-	waiters  []*memReq
-}
-
-// traceRec is one buffered L1 access record; the shared Config.Trace
-// recorder is only touched at the barrier, in SM order, so the emitted
-// stream is identical to the serial simulator's.
-type traceRec struct {
-	addr  uint64
-	write bool
+	fillAt   uint64
 }
 
 // blockSlot tracks one resident thread block.
@@ -160,16 +134,15 @@ type blockSlot struct {
 	atBarrier int // warps currently waiting at the block barrier
 }
 
-// sm is one streaming multiprocessor. During the parallel phase of a
-// cycle epoch an sm touches only its own state (plus read-only config
-// and the read-only data source): memory traffic goes to the per-SM
-// port, never to the shared mem.System.
+// sm is one streaming multiprocessor. Its L1 misses and stores go
+// straight to the shared mem.System, which Sim.Run ticks SMs against in
+// id order.
 type sm struct {
 	id     int
 	cfg    *Config
 	l1     *cache.Cache
 	ctrl   modes.Controller
-	port   *mem.Port
+	mem    *mem.System
 	data   trace.DataSource
 	warps  []*warp
 	slots  []blockSlot
@@ -188,21 +161,13 @@ type sm struct {
 
 	// mshr holds outstanding misses. A linear scan over at most
 	// Config.MSHRs (32) entries beats map hashing at this size, and a
-	// slice has no iteration-order hazard. Entries are only removed in
-	// applyFills, when no pendingLoad holds an index into the slice.
+	// slice has no iteration-order hazard.
 	mshr  []mshrEntry
 	fills fillHeap
 
-	// pend / deferred are the epoch-barrier handoff: loads awaiting the
-	// arbiter's fill times and fully-drained requests whose warps unblock
-	// at commit. waiterPool recycles the waiter slices.
-	pend       []pendingLoad
-	deferred   []*memReq
-	waiterPool [][]*memReq
-
-	// cycleInsts is the instruction count of the last tickCompute,
-	// harvested by Run at the barrier.
-	cycleInsts uint64
+	// missLat holds this cycle's miss latencies in issue order; tick
+	// feeds them to the controller after the cycle's L1 accesses.
+	missLat []uint64
 
 	hitSample uint64 // hit counter for VFT sampling
 
@@ -221,23 +186,21 @@ type sm struct {
 	// slices, so reuse is safe).
 	lineFill trace.LineFiller
 	lineBuf  []byte
-
-	// traceBuf defers Config.Trace records to the barrier.
-	traceBuf []traceRec
 }
 
-func newSM(id int, cfg *Config, ctrl modes.Controller, cacheCfg cache.Config, port *mem.Port, data trace.DataSource) *sm {
+func newSM(id int, cfg *Config, ctrl modes.Controller, cacheCfg cache.Config, m *mem.System, data trace.DataSource) *sm {
 	s := &sm{
 		id:         id,
 		cfg:        cfg,
 		ctrl:       ctrl,
-		port:       port,
+		mem:        m,
 		data:       data,
 		l1:         cache.New(cacheCfg, ctrl),
 		slots:      make([]blockSlot, cfg.MaxBlocksPerSM),
 		scheds:     make([]schedState, cfg.SchedulersPerSM),
 		schedWarps: make([][]*warp, cfg.SchedulersPerSM),
 		mshr:       make([]mshrEntry, 0, cfg.MSHRs),
+		missLat:    make([]uint64, 0, cfg.L1Ports),
 	}
 	for i := range s.scheds {
 		s.scheds[i] = newSchedState(cfg.MaxWarpsPerSM)
@@ -275,7 +238,6 @@ func (s *sm) releaseReq(r *memReq) {
 	r.addrs = nil
 	r.next = 0
 	r.readyMax = 0
-	r.pending = 0
 	r.isStore = false
 	s.reqFree = append(s.reqFree, r)
 }
@@ -374,7 +336,7 @@ func (s *sm) compactWarps() {
 }
 
 // busy reports whether the SM still has work (live warps or in-flight
-// memory activity). Only valid after commit, like every cross-SM read.
+// memory activity).
 func (s *sm) busy() bool {
 	return s.liveWarps > 0 || len(s.lsu) > s.lsuHead || len(s.fills) > 0
 }
@@ -384,10 +346,10 @@ func (s *sm) busy() bool {
 // tolerance-window boundary (probeTolerance fires there and must observe
 // the same `now` as a cycle-by-cycle run). A queued LSU request or a
 // ready warp makes the next cycle busy, so the method returns 0 in those
-// cases. Only valid after commit, when pend/deferred/traceBuf are empty
-// and every blockedOnMem warp still has its request in the LSU queue —
-// which is what lets Sim.Run prove cycles up to the returned value are
-// no-ops and fast-forward across them without changing a single counter.
+// cases. Between ticks every blockedOnMem warp still has its request in
+// the LSU queue, which is what lets Sim.Run prove cycles up to the
+// returned value are no-ops and fast-forward across them without
+// changing a single counter.
 func (s *sm) nextEvent() uint64 {
 	if s.lsuHead < len(s.lsu) {
 		return 0
@@ -423,57 +385,22 @@ func (s *sm) checkNextEvent(got uint64) {
 	}
 }
 
-// tickCompute is the parallel half of one cycle: fills, LSU drain into
-// the port, and scheduling, all against SM-private state. The issued
-// instruction count lands in cycleInsts for the barrier to harvest.
-func (s *sm) tickCompute(now uint64) {
+// tick advances the SM by one cycle and returns the instructions it
+// issued: fills, the LSU drain against the memory system, scheduling,
+// then the cycle's miss latencies and the tolerance probe. The
+// controller sees the miss latencies after the cycle's L1 accesses, so
+// an EP boundary inside RecordAccess reads the latency average as of the
+// previous cycle.
+func (s *sm) tick(now uint64) uint64 {
 	s.applyFills(now)
 	s.drainLSU(now)
-	s.cycleInsts = s.schedule(now)
-}
-
-// commit is the serial half of one cycle, run at the epoch barrier after
-// the arbiter has drained the ports: resolve this cycle's fill times,
-// unblock drained warps, fold the tolerance probe, and flush buffered
-// trace records. Commit runs in SM id order, which keeps the controller
-// call sequence and the trace stream identical to the serial simulator.
-func (s *sm) commit(now uint64) {
-	for i := range s.pend {
-		p := &s.pend[i]
-		fillAt := s.port.FillAt(p.portIdx)
-		e := &s.mshr[p.mshrIdx]
-		e.fillAt = fillAt
-		e.pending = false
-		s.fills.push(fillEvent{at: fillAt, lineAddr: p.lineAddr})
-		s.ctrl.RecordMissLatency(fillAt - now)
-		ready := fillAt + s.cfg.Cache.HitLatency
-		for _, req := range p.waiters {
-			if ready > req.readyMax {
-				req.readyMax = ready
-			}
-			req.pending--
-		}
-		s.waiterPool = append(s.waiterPool, p.waiters[:0])
-		p.waiters = nil
+	issued := s.schedule(now)
+	for _, lat := range s.missLat {
+		s.ctrl.RecordMissLatency(lat)
 	}
-	s.pend = s.pend[:0]
-	s.port.Reset()
-
-	for i, req := range s.deferred {
-		s.unblockMem(req.w, req.readyMax)
-		s.releaseReq(req)
-		s.deferred[i] = nil
-	}
-	s.deferred = s.deferred[:0]
-
+	s.missLat = s.missLat[:0]
 	s.probeTolerance(now)
-
-	if len(s.traceBuf) > 0 {
-		for _, tr := range s.traceBuf {
-			s.cfg.Trace.Record(s.id, now, tr.addr, tr.write)
-		}
-		s.traceBuf = s.traceBuf[:0]
-	}
+	return issued
 }
 
 // unblockMem releases a warp whose memory instruction has drained; it
@@ -506,8 +433,7 @@ func (s *sm) mshrLookup(lineAddr uint64) int {
 	return -1
 }
 
-// mshrRemove frees lineAddr's MSHR (swap-remove; only called from
-// applyFills, when no pendingLoad holds MSHR indices).
+// mshrRemove frees lineAddr's MSHR (swap-remove).
 func (s *sm) mshrRemove(lineAddr uint64) {
 	if i := s.mshrLookup(lineAddr); i >= 0 {
 		n := len(s.mshr) - 1
@@ -524,7 +450,7 @@ func (s *sm) drainLSU(now uint64) {
 		if req.isStore {
 			addr := req.addrs[req.next]
 			if s.cfg.Trace != nil {
-				s.traceBuf = append(s.traceBuf, traceRec{addr: addr, write: true})
+				s.cfg.Trace.Record(s.id, now, addr, true)
 			}
 			if s.cfg.WriteThroughL1 {
 				// Write-through: a write hit updates (and expands) the
@@ -533,7 +459,7 @@ func (s *sm) drainLSU(now uint64) {
 			}
 			// Stores always go to L2 (write-avoid bypasses L1 entirely,
 			// Section IV-C3).
-			s.port.PushStore(addr)
+			s.mem.Write(addr, now)
 			s.storeTxns++
 			req.next++
 		} else {
@@ -553,18 +479,12 @@ func (s *sm) drainLSU(now uint64) {
 				s.lsu = s.lsu[:0]
 				s.lsuHead = 0
 			}
-			switch {
-			case req.isStore:
-				s.releaseReq(req)
-			case req.pending == 0:
-				// Every transaction hit or merged into an already-resolved
-				// fill: the ready time is final. It is always > now, so
-				// unblocking here vs at commit cannot change scheduling.
+			if !req.isStore {
+				// The ready time is final and always > now, so the warp
+				// cannot issue before the next cycle.
 				s.unblockMem(req.w, req.readyMax)
-				s.releaseReq(req)
-			default:
-				s.deferred = append(s.deferred, req)
 			}
+			s.releaseReq(req)
 		}
 	}
 }
@@ -577,7 +497,7 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 	lineAddr := addr / lineSize
 
 	if s.cfg.Trace != nil {
-		s.traceBuf = append(s.traceBuf, traceRec{addr: addr})
+		s.cfg.Trace.Record(s.id, now, addr, false)
 	}
 	res := s.l1.Access(addr, now)
 	if res.Hit {
@@ -597,43 +517,21 @@ func (s *sm) loadTxn(req *memReq, now uint64) bool {
 		return true
 	}
 	// Miss: merge into an in-flight fetch if one exists.
+	var fillAt uint64
 	if mi := s.mshrLookup(lineAddr); mi >= 0 {
-		e := &s.mshr[mi]
-		if e.pending {
-			// Fill time unknown until the arbiter drains the port: join
-			// the waiter list, resolved at commit.
-			p := &s.pend[e.pendIdx]
-			p.waiters = append(p.waiters, req)
-			req.pending++
-			return true
+		fillAt = s.mshr[mi].fillAt
+	} else {
+		if len(s.mshr) >= s.cfg.MSHRs {
+			return false
 		}
-		ready := e.fillAt + s.cfg.Cache.HitLatency
-		if ready > req.readyMax {
-			req.readyMax = ready
-		}
-		return true
+		fillAt = s.mem.Read(addr, now)
+		s.mshr = append(s.mshr, mshrEntry{lineAddr: lineAddr, fillAt: fillAt})
+		s.fills.push(fillEvent{at: fillAt, lineAddr: lineAddr})
+		s.missLat = append(s.missLat, fillAt-now)
 	}
-	if len(s.mshr) >= s.cfg.MSHRs {
-		return false
+	if ready := fillAt + s.cfg.Cache.HitLatency; ready > req.readyMax {
+		req.readyMax = ready
 	}
-	portIdx := s.port.PushLoad(addr)
-	var waiters []*memReq
-	if n := len(s.waiterPool); n > 0 {
-		waiters = s.waiterPool[n-1]
-		s.waiterPool = s.waiterPool[:n-1]
-	}
-	s.pend = append(s.pend, pendingLoad{
-		portIdx:  portIdx,
-		mshrIdx:  len(s.mshr),
-		lineAddr: lineAddr,
-		waiters:  append(waiters, req),
-	})
-	s.mshr = append(s.mshr, mshrEntry{
-		lineAddr: lineAddr,
-		pending:  true,
-		pendIdx:  int32(len(s.pend) - 1),
-	})
-	req.pending++
 	return true
 }
 
@@ -786,7 +684,7 @@ func (s *sm) retire(w *warp) {
 }
 
 // forceFinish terminates all warps (instruction budget exhausted). Run
-// calls it at the barrier, after commit, so pend and deferred are empty.
+// calls it between cycles.
 func (s *sm) forceFinish() {
 	// retire may compact the warp lists when a block drains, so restart
 	// the scan after each retirement instead of ranging a stale header.

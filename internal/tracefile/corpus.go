@@ -101,8 +101,8 @@ func EncodeCorpusMeta(e CorpusEntry, traceBytes []byte, records uint64) ([]byte,
 // record stream is split into per-warp instruction slices at load time,
 // so replay runs through the full simulator (SM pipelines, harness
 // cache, result store, daemon) like any synthetic workload. Programs are
-// read-only after construction, keeping Data/Kernels safe for the
-// simulator's SM-parallel epoch engine.
+// read-only after construction, keeping Data/Kernels safe to share
+// across simulations that run concurrently.
 type ReplayWorkload struct {
 	name    string
 	source  string
